@@ -24,16 +24,14 @@ import (
 	"skynet/internal/hierarchy"
 	"skynet/internal/incident"
 	"skynet/internal/locator"
+	"skynet/internal/microbench"
 	"skynet/internal/monitors"
 	"skynet/internal/netsim"
 	"skynet/internal/preprocess"
-	"skynet/internal/prof"
 	"skynet/internal/provenance"
-	"skynet/internal/slo"
 	"skynet/internal/span"
 	"skynet/internal/telemetry"
 	"skynet/internal/topology"
-	"skynet/internal/tsdb"
 )
 
 var benchEpoch = time.Date(2024, 7, 2, 11, 0, 0, 0, time.UTC)
@@ -221,103 +219,35 @@ func buildBenchIncident(topo *topology.Topology, alerts []alert.Alert) *Incident
 var telemetryDump = flag.String("telemetrydump", "",
 	"write a Prometheus text snapshot of benchmark telemetry to this file")
 
-// benchEngineTick drives the engine through repeated ingest+tick rounds
-// over a severe-failure alert batch. With a nil registry it measures the
-// bare pipeline; with one attached it measures the instrumented path, so
-// the pair bounds the telemetry overhead. A lineage recorder likewise
-// bounds the provenance overhead, a span tracer the tracing overhead, a
-// flood recorder the episode-tagging overhead, history the full
-// telemetry-history stack (per-tick sampler + SLO burn-rate engine with
-// self-monitoring on; requires reg), and profiled the pprof stage
-// labeler plus the runtime/metrics sampler.
-func benchEngineTick(b *testing.B, workers int, reg *telemetry.Registry, journal *telemetry.Journal, rec *provenance.Recorder, tracer *span.Tracer, fl *flood.Recorder, history, profiled bool) {
-	topo := topology.MustGenerate(topology.SmallConfig())
-	alerts := experiments.SyntheticStructuredAlerts(topo, 2000, 1)
-	classifier, err := preprocess.BootstrapClassifier()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Workers = workers
-	eng := core.NewEngine(cfg, topo, classifier, nil, nil)
-	if reg != nil || journal != nil {
-		eng.EnableTelemetry(reg, journal)
-	}
-	if rec != nil {
-		eng.EnableProvenance(rec)
-	}
-	if tracer != nil {
-		eng.EnableTracing(tracer)
-	}
-	if fl != nil {
-		eng.EnableFlood(fl)
-	}
-	if profiled {
-		eng.EnableProfiling(prof.NewLabeler(eng.MaxShards()))
-		eng.EnableRuntimeMetrics(prof.NewRuntime(telemetry.New()))
-	}
-	if history {
-		db := tsdb.New(tsdb.Config{})
-		db.RegisterMetrics(reg)
-		eng.EnableHistory(tsdb.NewSampler(db, reg))
-		sloEng := slo.New(db, slo.DefaultRules(500*time.Millisecond))
-		sloEng.RegisterMetrics(reg)
-		eng.EnableSLO(sloEng, true)
-	}
-	now := benchEpoch
-	// The batch is built once and only its Time column is rewritten per
-	// round: IngestBatch copies the columns out, so the engine sees a
-	// fresh batch every tick while the harness models a collector that
-	// reuses its buffer.
-	var batch alert.Batch
-	for j := range alerts {
-		batch.Append(&alerts[j])
-	}
-	var ts [10]time.Time
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := range ts {
-			ts[k] = now.Add(time.Duration(k) * time.Second)
-		}
-		for j := range batch.Time {
-			batch.Time[j] = ts[j%10]
-		}
-		eng.IngestBatch(&batch)
-		now = now.Add(10 * time.Second)
-		eng.Tick(now)
-	}
-	b.ReportMetric(float64(len(alerts)), "alerts/tick")
-}
-
 // BenchmarkEngineTick measures an uninstrumented ingest+tick round with
 // the default worker fan-out (all cores).
-func BenchmarkEngineTick(b *testing.B) { benchEngineTick(b, 0, nil, nil, nil, nil, nil, false, false) }
+func BenchmarkEngineTick(b *testing.B) { microbench.EngineTick(b, microbench.TickSetup{}) }
 
 // BenchmarkEngineTickSerial pins the pipeline to one worker — the serial
 // reference the parallel path must match bit-for-bit (see
 // TestEngineDeterministicAcrossWorkers).
 func BenchmarkEngineTickSerial(b *testing.B) {
-	benchEngineTick(b, 1, nil, nil, nil, nil, nil, false, false)
+	microbench.EngineTick(b, microbench.TickSetup{Workers: 1})
 }
 
 // BenchmarkEngineTickWorkers4 forces four workers regardless of core
 // count, exposing the goroutine fan-out overhead when oversubscribed.
 func BenchmarkEngineTickWorkers4(b *testing.B) {
-	benchEngineTick(b, 4, nil, nil, nil, nil, nil, false, false)
+	microbench.EngineTick(b, microbench.TickSetup{Workers: 4})
 }
 
 // BenchmarkEngineTickProvenance is BenchmarkEngineTick with the lineage
 // recorder attached at the default 1-in-16 sampling; the delta between
 // the two is the provenance cost per tick (acceptance bound: within 5%).
 func BenchmarkEngineTickProvenance(b *testing.B) {
-	benchEngineTick(b, 0, nil, nil, provenance.New(provenance.Config{}), nil, nil, false, false)
+	microbench.EngineTick(b, microbench.TickSetup{Provenance: provenance.New(provenance.Config{})})
 }
 
 // BenchmarkEngineTickSpans is BenchmarkEngineTick with the span tracer
 // attached; the delta between the two is the tracing cost per tick
 // (acceptance bound: within 2%, see bench_results.txt).
 func BenchmarkEngineTickSpans(b *testing.B) {
-	benchEngineTick(b, 0, nil, nil, nil, span.NewTracer(0), nil, false, false)
+	microbench.EngineTick(b, microbench.TickSetup{Tracer: span.NewTracer(0)})
 }
 
 // BenchmarkEngineTickFlood is BenchmarkEngineTick with the flood-episode
@@ -326,7 +256,7 @@ func BenchmarkEngineTickSpans(b *testing.B) {
 // The synthetic batch rate keeps an episode open for the whole run, so
 // this measures the recorder's worst case: every tick aggregates.
 func BenchmarkEngineTickFlood(b *testing.B) {
-	benchEngineTick(b, 0, nil, nil, nil, nil, flood.New(flood.Config{}), false, false)
+	microbench.EngineTick(b, microbench.TickSetup{Flood: flood.New(flood.Config{})})
 }
 
 // BenchmarkEngineTickTelemetry is BenchmarkEngineTick with the metrics
@@ -334,7 +264,7 @@ func BenchmarkEngineTickFlood(b *testing.B) {
 // the telemetry cost per tick (acceptance bound: within 5%).
 func BenchmarkEngineTickTelemetry(b *testing.B) {
 	reg := telemetry.New()
-	benchEngineTick(b, 0, reg, telemetry.NewJournal(0), nil, nil, nil, false, false)
+	microbench.EngineTick(b, microbench.TickSetup{Registry: reg, Journal: telemetry.NewJournal(0)})
 	if *telemetryDump == "" {
 		return
 	}
@@ -355,7 +285,7 @@ func BenchmarkEngineTickTelemetry(b *testing.B) {
 // history cost per tick (acceptance bound: within 2%, see
 // EXPERIMENTS.md).
 func BenchmarkEngineTickHistory(b *testing.B) {
-	benchEngineTick(b, 0, telemetry.New(), nil, nil, nil, nil, true, false)
+	microbench.EngineTick(b, microbench.TickSetup{Registry: telemetry.New(), History: true})
 }
 
 // BenchmarkEngineTickProfiled is BenchmarkEngineTick with the pprof
@@ -365,7 +295,7 @@ func BenchmarkEngineTickHistory(b *testing.B) {
 // is the labeling cost per tick (acceptance bound: within 2% on time and
 // bytes/op, see bench_results.txt).
 func BenchmarkEngineTickProfiled(b *testing.B) {
-	benchEngineTick(b, 0, nil, nil, nil, nil, nil, false, true)
+	microbench.EngineTick(b, microbench.TickSetup{Profiled: true})
 }
 
 // BenchmarkWireCodec measures the UDP wire format round trip.

@@ -283,13 +283,12 @@ func printStats(eng *core.Engine, reg *telemetry.Registry, journal *telemetry.Jo
 	}
 	fmt.Println("\n== per-stage timing (per tick) ==")
 	fmt.Printf("  %-12s %8s %10s %10s %10s %12s\n", "stage", "ticks", "mean", "p50", "p90", "total")
-	for _, row := range []struct{ label, metric string }{
-		{"preprocess", "skynet_stage_preprocess_seconds"},
-		{"locate", "skynet_stage_locate_seconds"},
-		{"evaluate", "skynet_stage_evaluate_seconds"},
-		{"sop", "skynet_stage_sop_seconds"},
-		{"full tick", "skynet_tick_seconds"},
-	} {
+	type row struct{ label, metric string }
+	var rows []row
+	for _, s := range []span.Stage{span.StagePreprocess, span.StageLocate, span.StageEvaluate, span.StageSOP} {
+		rows = append(rows, row{s.String(), "skynet_stage_" + s.String() + "_seconds"})
+	}
+	for _, row := range append(rows, row{"full tick", "skynet_tick_seconds"}) {
 		h := snaps[row.metric].Hist
 		if h == nil {
 			continue

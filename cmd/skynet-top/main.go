@@ -104,13 +104,11 @@ func (c *client) getJSON(path string, v any) error {
 // locally so the console only depends on the wire contract.
 
 type healthView struct {
-	Status    string            `json:"status"`
-	Degraded  []string          `json:"degraded"`
-	TickP99Ns int64             `json:"tick_p99_ns"`
-	SLOP99Ns  int64             `json:"slo_tick_p99_ns"`
-	Ticks     int64             `json:"ticks"`
-	Dumps     int64             `json:"dumps"`
-	Runtime   prof.RuntimeStats `json:"runtime"`
+	Status   string            `json:"status"`
+	Degraded []string          `json:"degraded"`
+	Ticks    int64             `json:"ticks"`
+	Dumps    int64             `json:"dumps"`
+	Runtime  prof.RuntimeStats `json:"runtime"`
 }
 
 type sloView struct {
@@ -311,9 +309,8 @@ func renderRuntime(b *strings.Builder, h healthView) {
 		b.WriteString("RUNTIME   (unavailable)\n\n")
 		return
 	}
-	fmt.Fprintf(b, "RUNTIME   goroutines %d  heap %s  gc %d  last pause %s  tick p99 %s\n\n",
-		r.Goroutines, fmtBytes(r.HeapLiveBytes), r.GCCycles,
-		r.GCPauseDuration(), time.Duration(h.TickP99Ns))
+	fmt.Fprintf(b, "RUNTIME   goroutines %d  heap %s  gc %d  last pause %s\n\n",
+		r.Goroutines, fmtBytes(r.HeapLiveBytes), r.GCCycles, r.GCPauseDuration())
 }
 
 // renderStages prints the top-stage CPU bars from /api/profile.

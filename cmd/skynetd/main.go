@@ -63,7 +63,7 @@ func main() {
 		flightDir = flag.String("flight-dir", "flight-dumps",
 			"flight-recorder dump directory (empty disables dumps; triggers, /api/health, and /api/trace stay on)")
 		sloTickP99 = flag.Duration("slo-tick-p99", flight.DefaultSLOTickP99,
-			"self-SLO on tick latency p99; a breach fires the flight recorder")
+			"per-tick latency objective of the tick-latency SLO burn-rate rule; a burn fires the flight recorder's slo_burn dump")
 		flightMaxDumps = flag.Int("flight-max-dumps", 0,
 			"max flight dump directories kept on disk; oldest are deleted past the cap (0 = keep all)")
 		selfMonitor = flag.Bool("self-monitor", true,
@@ -264,19 +264,19 @@ func main() {
 	srv.RegisterMetrics(reg)
 	defer srv.Close()
 
-	// Flight recorder: watches tick p99, ingest shed, journal drops, queue
-	// high-water, and provenance conservation; dumps evidence on anomalies.
-	flightSrc := flight.Sources{
-		Shed:           func() int64 { return int64(srv.Stats().QueueFull) },
-		JournalEvicted: journal.Evicted,
-		Queue:          srv.QueueLoad,
-		FloodClosed:    floodRec.ClosedCount,
-		Metrics:        reg,
-		Tracer:         tracer,
-		SLOBurnEvents:  sloEng.EventCount,
-		SLODetail:      sloEng.LastDetail,
-		History:        func(w io.Writer) error { return db.SnapshotTo(w, time.Now()) },
-		Profiles:       profiler.WriteLatest,
+	// Flight recorder: the evidence sink of the SLO watchdog. It dumps
+	// evidence when an SLO rule starts burning and when a flood episode
+	// closes, and /api/health is degraded while any rule fires.
+	flightRec := flight.New(flight.Config{
+		Dir:         *flightDir,
+		MaxDumpDirs: *flightMaxDumps,
+	}, flight.Sources{
+		SLO:         sloEng,
+		FloodClosed: floodRec.ClosedCount,
+		Metrics:     reg,
+		Tracer:      tracer,
+		History:     func(w io.Writer) error { return db.SnapshotTo(w, time.Now()) },
+		Profiles:    profiler.WriteLatest,
 		Incidents: func() any {
 			engineMu.Lock()
 			defer engineMu.Unlock()
@@ -287,15 +287,7 @@ func main() {
 			}
 			return out
 		},
-	}
-	if prov != nil {
-		flightSrc.ProvInFlight = prov.InFlight
-	}
-	flightRec := flight.New(flight.Config{
-		Dir:         *flightDir,
-		SLOTickP99:  *sloTickP99,
-		MaxDumpDirs: *flightMaxDumps,
-	}, flightSrc)
+	})
 	flightRec.RegisterMetrics(reg)
 	flightRec.SetNotify(func(ev flight.Event) {
 		hub.Publish(status.EventTypeAnomaly, ev)
@@ -363,7 +355,7 @@ func main() {
 			// the lock itself. Perf feeds the open flood episode's report
 			// without touching its deterministic episode state.
 			floodRec.ObservePerf(tickDur, int64(srv.Stats().QueueFull))
-			flightRec.Observe(now, tickDur)
+			flightRec.Observe(now)
 			for _, inc := range res.NewIncidents {
 				known[inc.ID] = true
 				fmt.Printf("--- NEW INCIDENT ---\n%s\n", inc.Render())

@@ -132,9 +132,15 @@ type Engine struct {
 	lastState  map[int]incidentState
 	closedSeen int
 
-	// Tracing is optional; nil until EnableTracing.
+	// The tick's span tree is the instrumentation spine: it is built
+	// whenever one of its read-outs is attached — the tracer's ring
+	// (EnableTracing), the stage and span histograms (spanTel, with a
+	// registry), or the pprof stage labels (EnableProfiling). act is
+	// the builder, reused every tick (see spanTree).
 	tracer  *span.Tracer
 	spanTel *spanMetrics
+	labels  span.Labeler
+	act     *span.Active
 
 	// Provenance is optional; nil until EnableProvenance.
 	prov    *provenance.Recorder
@@ -154,12 +160,8 @@ type Engine struct {
 	selfAlertsN atomic.Int64
 	latModel    func(tick uint64) time.Duration
 
-	// Continuous profiling + runtime sampling are optional; nil until
-	// EnableProfiling / EnableRuntimeMetrics. profL's methods are
-	// nil-receiver safe, so the hot path calls them unconditionally.
-	profL       *prof.Labeler
-	profEpisode uint64
-	rtm         *prof.Runtime
+	// Runtime sampling is optional; nil until EnableRuntimeMetrics.
+	rtm *prof.Runtime
 
 	// Fan-out serving is optional; nil until EnableFanout. The tick's
 	// snapshot and delta documents are built directly into hub-pooled
@@ -260,44 +262,38 @@ func (e *Engine) Tick(now time.Time) TickResult {
 	var res TickResult
 	e.tickCount++
 	tel := e.tel
-	var start, mark time.Time
+	var start time.Time
 	if tel != nil || e.hist != nil {
 		start = time.Now()
-		mark = start
 	}
 	if tel != nil {
 		tel.prePending.SetInt(e.pre.PendingDepth())
 	}
-	act := e.tracer.StartTick(e.tickCount, now) // nil when tracing is off
-	preR := act.Begin(span.Root, "preprocess")
+	act := e.spanTree() // nil when no read-out of the span tree is attached
+	if act != nil {
+		act.Start(e.tickCount, now)
+	}
+	preR := act.Begin(span.Root, span.StagePreprocess)
 	if act != nil {
 		e.pre.SetSpans(act.Scope(preR))
 	}
 	structured := e.pre.Tick(now)
 	res.Structured = len(structured)
 	act.End(preR, len(structured))
-	if tel != nil {
-		mark = tel.observe(tel.stagePreprocess, mark)
-	}
-	locR := act.Begin(span.Root, "locate")
-	abR := act.Begin(locR, "addbatch")
+	locR := act.Begin(span.Root, span.StageLocate)
+	abR := act.Begin(locR, span.StageAddBatch)
 	if act != nil {
 		e.loc.SetSpans(act.Scope(abR))
 	}
-	e.profL.Enter(prof.StageLocatorAdd)
 	e.loc.AddBatch(structured)
-	e.profL.Exit()
 	act.End(abR, len(structured))
-	ckR := act.Begin(locR, "check")
+	ckR := act.Begin(locR, span.StageCheck)
 	if act != nil {
 		e.loc.SetSpans(act.Scope(ckR))
 	}
 	res.NewIncidents = e.loc.Check(now)
 	act.End(ckR, len(res.NewIncidents))
 	act.End(locR, len(structured))
-	if tel != nil {
-		mark = tel.observe(tel.stageLocate, mark)
-	}
 	// Refine and (re)score active incidents so severity escalates with
 	// duration (Eq. 2's ΔT term). An incident is dirty — needs the full
 	// Refine+Score — when its content changed (rev), the reachability
@@ -307,7 +303,7 @@ func (e *Engine) Tick(now time.Time) TickResult {
 	// unchanged inputs and the stored Severity/Zoomed are already exact.
 	active := e.loc.ActiveAppend(e.activeBuf[:0])
 	e.activeBuf = active
-	evR := act.Begin(span.Root, "evaluate")
+	evR := act.Begin(span.Root, span.StageEvaluate)
 	dirty := e.evalDirty[:0]
 	for _, in := range active {
 		st, ok := e.evalStates[in.ID]
@@ -315,8 +311,7 @@ func (e *Engine) Tick(now time.Time) TickResult {
 			dirty = append(dirty, in)
 		}
 	}
-	rf := act.Scope(evR).Fork("refine_score", len(dirty))
-	e.profL.Enter(prof.StageRefineScore)
+	rf := act.Scope(evR).Fork(span.StageRefineScore, len(dirty))
 	if e.prov != nil {
 		if cap(e.provBds) < len(dirty) {
 			e.provBds = make([]evaluator.Breakdown, len(dirty))
@@ -335,7 +330,6 @@ func (e *Engine) Tick(now time.Time) TickResult {
 			e.eval.Score(in, now)
 		})
 	}
-	e.profL.Exit()
 	for _, in := range dirty {
 		e.evalStates[in.ID] = evalState{rev: in.Rev(), gen: e.sampleGen, now: now, seen: e.tickCount}
 	}
@@ -345,23 +339,19 @@ func (e *Engine) Tick(now time.Time) TickResult {
 	}
 	act.End(evR, len(dirty))
 	if tel != nil {
-		mark = tel.observe(tel.stageEvaluate, mark)
 		tel.evalRescored.Add(int64(len(dirty)))
 		tel.evalSkipped.Add(int64(len(active) - len(dirty)))
 	}
-	sopR := act.Begin(span.Root, "sop")
+	sopR := act.Begin(span.Root, span.StageSOP)
 	if e.sopEng != nil {
-		e.profL.Enter(prof.StageSOP)
 		for _, in := range res.NewIncidents {
 			if exec, ok := e.sopEng.Consider(in, now); ok {
 				res.SOPExecutions = append(res.SOPExecutions, exec)
 			}
 		}
-		e.profL.Exit()
 	}
 	act.End(sopR, len(res.SOPExecutions))
 	if tel != nil {
-		tel.observe(tel.stageSOP, mark)
 		tel.tickSeconds.Observe(time.Since(start).Seconds())
 		tel.ticks.Inc()
 		tel.structured.Add(int64(res.Structured))

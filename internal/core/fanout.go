@@ -34,10 +34,35 @@ func (e *Engine) observeFanout(now time.Time, res *TickResult, active []*inciden
 	d.Structured = res.Structured
 	d.Coalesced = 1
 
+	// Closed lists every incident that leaves the active feed: those
+	// that timed out, and — as ID-only rows — those an opening incident
+	// absorbed (Algorithm 2, lines 7–9), which leave without closing.
+	for _, in := range e.loc.ClosedSince(e.fanClosedSeen) {
+		d.Closed = append(d.Closed, fanout.NewIncidentInfo(in))
+	}
+	e.fanClosedSeen = e.loc.ClosedCount()
+	for _, in := range res.NewIncidents {
+		for _, id := range in.MergedFrom {
+			d.Closed = append(d.Closed, fanout.IncidentInfo{ID: id})
+		}
+	}
+	// Delta lists are ID-sorted: the hub's coalescing merge relies on
+	// it, and it makes merged deltas bit-identical for every subscriber.
+	// Opened/Updated arrive nearly sorted (creation/active order);
+	// Closed is in close order, which need not be, and a chain of
+	// absorptions inside one tick can name an ID twice.
+	byID := func(a, b fanout.IncidentInfo) int { return a.ID - b.ID }
+	slices.SortFunc(d.Closed, byID)
+	d.Closed = slices.CompactFunc(d.Closed, func(a, b fanout.IncidentInfo) bool { return a.ID == b.ID })
+
 	clear(e.fanSeen)
 	for _, in := range res.NewIncidents {
 		e.fanSeen[in.ID] = struct{}{}
-		d.Opened = append(d.Opened, fanout.NewIncidentInfo(in))
+		// Opened and absorbed within this tick: reported only as closed,
+		// as mergeDelta does for a window.
+		if _, gone := slices.BinarySearchFunc(d.Closed, in.ID, func(c fanout.IncidentInfo, id int) int { return c.ID - id }); !gone {
+			d.Opened = append(d.Opened, fanout.NewIncidentInfo(in))
+		}
 	}
 	// Updated = re-scored this tick but not newly created. evalDirty is
 	// in active-set order, which is deterministic across worker counts.
@@ -46,18 +71,8 @@ func (e *Engine) observeFanout(now time.Time, res *TickResult, active []*inciden
 			d.Updated = append(d.Updated, fanout.NewIncidentInfo(in))
 		}
 	}
-	for _, in := range e.loc.ClosedSince(e.fanClosedSeen) {
-		d.Closed = append(d.Closed, fanout.NewIncidentInfo(in))
-	}
-	e.fanClosedSeen = e.loc.ClosedCount()
-	// Delta lists are ID-sorted: the hub's coalescing merge relies on
-	// it, and it makes merged deltas bit-identical for every subscriber.
-	// Opened/Updated arrive nearly sorted (creation/active order);
-	// Closed is in close order, which need not be.
-	byID := func(a, b fanout.IncidentInfo) int { return a.ID - b.ID }
 	slices.SortFunc(d.Opened, byID)
 	slices.SortFunc(d.Updated, byID)
-	slices.SortFunc(d.Closed, byID)
 
 	phase, episode := "", uint64(0)
 	if e.flood != nil {

@@ -13,8 +13,9 @@ import (
 // raw alert feeds the detector's rate tap, and every tick advances its
 // episode state machine. While an episode is open the engine threads
 // its ID through the other observability layers — the tick's span trace
-// and the provenance records of incidents attributed to the episode —
-// so metrics, traces, lineage, and flood reports all join on one key.
+// (and with it the pprof labels) and the provenance records of
+// incidents attributed to the episode — so metrics, traces, profiles,
+// lineage, and flood reports all join on one key.
 // Call before the first Ingest/Tick; with no recorder the pipeline
 // takes no flood branches.
 func (e *Engine) EnableFlood(r *flood.Recorder) {
@@ -32,17 +33,12 @@ func (e *Engine) observeFlood(now time.Time, structured []alert.Alert, created, 
 	closedInc := e.loc.ClosedSince(e.floodClosedSeen)
 	e.floodClosedSeen = e.loc.ClosedCount()
 	out := e.flood.ObserveTick(now, e.tickCount, structured, created, active, closedInc)
-	// Keep the profiler's episode label in lockstep with the detector:
-	// tag label contexts when an episode opens, untag when it closes —
-	// the close transition is why this runs before the idle early-return.
-	if e.profL != nil && out.EpisodeID != e.profEpisode {
-		e.profL.SetEpisode(out.EpisodeID)
-		e.profEpisode = out.EpisodeID
-	}
+	// One call tags the trace and the pprof labels. It runs before the
+	// idle early-return so the labels are untagged when an episode closes.
+	act.SetEpisode(out.EpisodeID)
 	if out.EpisodeID == 0 {
 		return
 	}
-	act.SetEpisode(out.EpisodeID)
 	if e.prov != nil {
 		for _, id := range out.Adopted {
 			e.prov.SetEpisode(id, out.EpisodeID)

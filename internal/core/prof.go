@@ -5,16 +5,16 @@ import (
 )
 
 // EnableProfiling attaches pprof stage labels to the pipeline: the
-// engine's refine_score/sop/locator-add sections and the preprocessor's
-// and locator's internal fan-outs run under the labeler's precomputed
-// `stage` (+ `shard`, + flood `episode`) label contexts, so CPU, mutex,
-// and block profiles attribute their samples to pipeline stages. Call
-// before the first Tick; one labeler per process (it owns the par spawn
-// hook). With no labeler the hot path takes only nil-receiver calls.
+// labeler follows each tick's span tree, so every stage runs under its
+// span name as the `stage` label, fork workers add their `shard`, and an
+// open flood adds its `episode`. CPU, mutex, and block profiles then
+// attribute their samples to pipeline stages. Call before the first
+// Tick; one labeler per process (it owns the par spawn hook).
 func (e *Engine) EnableProfiling(l *prof.Labeler) {
-	e.profL = l
-	e.pre.SetProf(l)
-	e.loc.SetProf(l)
+	if l != nil {
+		e.labels = l
+		e.act = nil
+	}
 }
 
 // MaxShards reports the widest fan-out any stage runs — the shard-label

@@ -5,39 +5,53 @@ import (
 	"skynet/internal/telemetry"
 )
 
-// spanMetrics bridges finished span trees into the telemetry registry:
-// one latency histogram per span name, plus fork-level shard-skew and
-// queue-wait histograms. Registered lazily because span names surface as
-// they are first recorded; the per-name handle cache keeps the hot path
-// off the registry lock after the first tick.
+// spanMetrics derives the registry's stage and span histograms from each
+// finished span tree: the skynet_stage_<name>_seconds histogram of every
+// top-level stage, one skynet_span_<name>_seconds histogram per stage,
+// plus fork-level shard-skew and queue-wait histograms. Span histograms
+// register lazily, as their stage is first recorded; the per-stage
+// handle table keeps the hot path off the registry lock after that.
 type spanMetrics struct {
 	reg    *telemetry.Registry
-	byName map[string]*telemetry.Histogram
+	stages [span.NumStages]*telemetry.Histogram // top-level stages only
+	spans  [span.NumStages]*telemetry.Histogram
 	skew   *telemetry.Histogram
 	wait   *telemetry.Histogram
 }
 
 func newSpanMetrics(reg *telemetry.Registry) *spanMetrics {
 	lb := telemetry.LatencyBuckets()
-	return &spanMetrics{
-		reg:    reg,
-		byName: make(map[string]*telemetry.Histogram),
+	m := &spanMetrics{
+		reg: reg,
 		skew: reg.Histogram("skynet_span_fork_skew_seconds",
 			"Per-fork shard imbalance: slowest minus fastest shard of one parallel fan-out.", lb),
 		wait: reg.Histogram("skynet_span_queue_wait_seconds",
 			"Time a fan-out task waited between fork open and a worker picking it up.", lb),
 	}
+	for _, st := range []struct {
+		stage span.Stage
+		help  string
+	}{
+		{span.StagePreprocess, "Wall time of the preprocessor flush stage (§4.1)."},
+		{span.StageLocate, "Wall time of locator add/check (Algorithms 1-3)."},
+		{span.StageEvaluate, "Wall time of zoom-in refine plus severity scoring (Eq. 1-3)."},
+		{span.StageSOP, "Wall time of the automatic-SOP stage (§5.1)."},
+	} {
+		m.stages[st.stage] = reg.Histogram("skynet_stage_"+st.stage.String()+"_seconds", st.help, lb)
+	}
+	return m
 }
 
-// hist returns the latency histogram for one span name, registering
+// hist returns the latency histogram for one stage, registering
 // skynet_span_<name>_seconds on first use.
-func (m *spanMetrics) hist(name string) *telemetry.Histogram {
-	if h, ok := m.byName[name]; ok {
+func (m *spanMetrics) hist(s span.Stage) *telemetry.Histogram {
+	if h := m.spans[s]; h != nil {
 		return h
 	}
+	name := s.String()
 	h := m.reg.Histogram("skynet_span_"+name+"_seconds",
 		"Wall time of one "+name+" span.", telemetry.LatencyBuckets())
-	m.byName[name] = h
+	m.spans[s] = h
 	return h
 }
 
@@ -58,7 +72,10 @@ func (m *spanMetrics) observe(tr *span.Trace) {
 	for i := 1; i < len(tr.Spans); i++ {
 		sp := &tr.Spans[i]
 		secs := sp.Dur.Seconds()
-		m.hist(sp.Name).Observe(secs)
+		m.hist(sp.Stage).Observe(secs)
+		if h := m.stages[sp.Stage]; h != nil {
+			h.Observe(secs)
+		}
 		if sp.Shard < 0 {
 			flush()
 			continue
@@ -81,20 +98,26 @@ func (m *spanMetrics) observe(tr *span.Trace) {
 	flush()
 }
 
-// EnableTracing attaches a span tracer to the engine: every Tick records
-// a span tree (stages, sub-phases, and parallel shard fan-outs) into the
-// tracer's ring. When a telemetry registry is also attached (see
-// EnableTelemetry), finished spans additionally feed per-stage latency,
-// shard-skew, and queue-wait histograms. Call before the first Tick;
-// with no tracer the pipeline takes a single nil-check per tick.
+// spanTree returns the engine's reusable span-tree builder, building it
+// on first use, or nil when none of its read-outs is attached. The tree
+// is timed only when a tracer or the histograms read its durations.
+func (e *Engine) spanTree() *span.Active {
+	if e.act == nil && (e.tracer != nil || e.spanTel != nil || e.labels != nil) {
+		e.act = span.NewActive(e.tracer, e.labels, e.spanTel != nil)
+	}
+	return e.act
+}
+
+// EnableTracing attaches a span tracer to the engine: every Tick's span
+// tree (stages, sub-phases, and parallel shard fan-outs) is retained in
+// the tracer's ring. Call before the first Tick; with no tracer,
+// registry, or labeler the pipeline takes a single nil-check per tick.
 //
 // Tracing never touches pipeline data: incident sets, IDs, and severity
 // bits are bit-identical with and without it, at every worker count.
 func (e *Engine) EnableTracing(tr *span.Tracer) {
 	e.tracer = tr
-	if tr != nil && e.reg != nil && e.spanTel == nil {
-		e.spanTel = newSpanMetrics(e.reg)
-	}
+	e.act = nil
 }
 
 // Tracer returns the attached span tracer (nil when disabled).

@@ -24,11 +24,7 @@ type pipelineMetrics struct {
 	incidentsCreated *telemetry.Counter
 	sopExecutions    *telemetry.Counter
 
-	tickSeconds     *telemetry.Histogram
-	stagePreprocess *telemetry.Histogram
-	stageLocate     *telemetry.Histogram
-	stageEvaluate   *telemetry.Histogram
-	stageSOP        *telemetry.Histogram
+	tickSeconds *telemetry.Histogram
 
 	activeIncidents *telemetry.Gauge
 	closedIncidents *telemetry.Gauge
@@ -62,14 +58,6 @@ func newPipelineMetrics(reg *telemetry.Registry) *pipelineMetrics {
 			"Automatic SOP mitigations applied."),
 		tickSeconds: reg.Histogram("skynet_tick_seconds",
 			"Wall time of one full pipeline tick.", lb),
-		stagePreprocess: reg.Histogram("skynet_stage_preprocess_seconds",
-			"Wall time of the preprocessor flush stage (§4.1).", lb),
-		stageLocate: reg.Histogram("skynet_stage_locate_seconds",
-			"Wall time of locator add/check (Algorithms 1-3).", lb),
-		stageEvaluate: reg.Histogram("skynet_stage_evaluate_seconds",
-			"Wall time of zoom-in refine plus severity scoring (Eq. 1-3).", lb),
-		stageSOP: reg.Histogram("skynet_stage_sop_seconds",
-			"Wall time of the automatic-SOP stage (§5.1).", lb),
 		activeIncidents: reg.Gauge("skynet_active_incidents",
 			"Currently open incidents."),
 		closedIncidents: reg.Gauge("skynet_closed_incidents",
@@ -122,14 +110,6 @@ func (m *pipelineMetrics) observeShards(pre *preprocess.Preprocessor, loc *locat
 	}
 }
 
-// observe records the elapsed time since mark on h and returns a fresh
-// mark for the next stage.
-func (m *pipelineMetrics) observe(h *telemetry.Histogram, mark time.Time) time.Time {
-	now := time.Now()
-	h.Observe(now.Sub(mark).Seconds())
-	return now
-}
-
 // incidentState is the journal differ's last-known view of one incident.
 type incidentState struct {
 	alerts   int
@@ -139,18 +119,19 @@ type incidentState struct {
 }
 
 // EnableTelemetry attaches a metrics registry and/or a lifecycle journal
-// to the engine. Either argument may be nil. Call before the first Tick;
-// with neither attached the pipeline runs exactly as before (no clock
-// reads, no atomic traffic).
+// to the engine. Either argument may be nil. With a registry every Tick
+// records its span tree, and the per-stage and per-span histograms are
+// read off the finished tree. Call before the first Tick; with neither
+// attached the pipeline runs exactly as before (no clock reads, no
+// atomic traffic).
 func (e *Engine) EnableTelemetry(reg *telemetry.Registry, j *telemetry.Journal) {
 	if reg != nil {
 		e.reg = reg
 		e.tel = newPipelineMetrics(reg)
 		e.tel.workers.SetInt(e.workers)
 		e.tel.initShardMetrics(reg, e.pre.Workers(), e.loc.Workers())
-		if e.tracer != nil && e.spanTel == nil {
-			e.spanTel = newSpanMetrics(reg)
-		}
+		e.spanTel = newSpanMetrics(reg)
+		e.act = nil
 	}
 	if j != nil {
 		e.journal = j

@@ -249,6 +249,61 @@ func TestLaggardResyncWithDropAccounting(t *testing.T) {
 	}
 }
 
+// TestResyncOntoSnapshotKeepsSeqOrder forces the lapped-with-snapshot
+// resync path and pins two delivery contracts: frame sequence numbers
+// never move backwards across the resync notice and the snapshot that
+// follows it, and every returned frame keeps its identity until the
+// subscriber releases it — even after later publishes evict the ring
+// slots and replace the snapshot slot the hub had referenced.
+func TestResyncOntoSnapshotKeepsSeqOrder(t *testing.T) {
+	h := NewHub(Config{Ring: 4, EvictAfter: 1 << 20})
+	defer h.Close()
+	h.PublishTick(testSnap(1), testDelta(1))
+	sub, _ := h.Subscribe(SubscribeOptions{Cursor: -1})
+	defer sub.Close()
+	collect(t, sub)
+
+	for tick := uint64(2); tick <= 9; tick++ {
+		h.PublishTick(testSnap(tick), testDelta(tick))
+	}
+	frames, _, err := sub.Poll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) < 2 || frames[0].Kind() != KindResync || frames[1].Kind() != KindSnapshot {
+		t.Fatalf("want resync then snapshot, got %d frames", len(frames))
+	}
+	type ident struct {
+		kind Kind
+		seq  uint64
+	}
+	want := make([]ident, len(frames))
+	for i, f := range frames {
+		want[i] = ident{f.Kind(), f.Seq()}
+		if i > 0 && f.Seq() < frames[i-1].Seq() {
+			t.Fatalf("frame %d (%v) seq %d after %d: delivery moved backwards",
+				i, f.Kind(), f.Seq(), frames[i-1].Seq())
+		}
+	}
+	if snap := frames[1]; frames[0].Seq() != snap.Seq() {
+		t.Fatalf("resync seq %d, want the snapshot's as-of seq %d", frames[0].Seq(), snap.Seq())
+	}
+
+	// Lap the ring and replace the snapshot while the batch is held.
+	for tick := uint64(10); tick <= 20; tick++ {
+		h.PublishTick(testSnap(tick), testDelta(tick))
+	}
+	for i, f := range frames {
+		if got := (ident{f.Kind(), f.Seq()}); got != want[i] {
+			t.Fatalf("held frame %d changed to %+v (was %+v) before release", i, got, want[i])
+		}
+		if len(f.Bytes()) == 0 {
+			t.Fatalf("held frame %d lost its payload before release", i)
+		}
+	}
+	sub.ReleaseAll(frames)
+}
+
 func TestNeverPollingSubscriberIsEvicted(t *testing.T) {
 	h := NewHub(Config{Ring: 4, EvictAfter: 2})
 	defer h.Close()

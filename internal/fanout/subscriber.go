@@ -313,10 +313,13 @@ func (h *Hub) mergeRun(run []*Frame) *Frame {
 // makeResyncFrame builds the drop-accounted gap notice delivered before
 // a resync. It carries no id line: resuming from a resync re-presents
 // the previous position, which is exactly what triggered the resync.
+// Its Seq is the last skipped sequence (resumeSeq-1) — the as-of point
+// of the snapshot that may follow it — so delivery order never moves
+// backwards across the resync.
 func (h *Hub) makeResyncFrame(resumeSeq, skipped uint64, byKind *[numKinds]uint64, unknown uint64) *Frame {
 	f := h.framePool.Get().(*Frame)
 	buf := f.buf
-	*f = Frame{kind: KindResync, hub: h, seq: resumeSeq, pubAt: h.now(), buf: buf[:0]}
+	*f = Frame{kind: KindResync, hub: h, seq: resumeSeq - 1, pubAt: h.now(), buf: buf[:0]}
 	f.refs.Store(1)
 	f.buf = renderHeader(f.buf, 0, false, EventResync)
 	f.buf = append(f.buf, `{"skipped":`...)

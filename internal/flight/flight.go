@@ -1,32 +1,25 @@
 // Package flight is SkyNet's always-on flight recorder: a small,
-// lock-light watchdog that rides along with the pipeline, keeps a
-// sliding window of recent tick durations, and — when something goes
-// wrong — captures the evidence an operator needs *at the moment of the
-// anomaly*, not minutes later when a human gets paged.
+// lock-light evidence sink that rides along with the pipeline and —
+// when something goes wrong — captures the evidence an operator needs
+// *at the moment of the anomaly*, not minutes later when a human gets
+// paged.
 //
 // The paper's failure mode is exactly the situation where post-hoc
 // debugging is hardest: an alert flood degrades the very pipeline that
-// is supposed to explain it. The recorder therefore watches a fixed set
-// of anomaly triggers every tick:
+// is supposed to explain it. The recorder judges nothing itself — the
+// SLO burn-rate engine (package slo) is the one watchdog. The recorder
+// fires on exactly two things:
 //
-//   - tick_p99          — tick latency p99 over the window breached the SLO
-//     (only when no burn-rate engine is wired; see slo_burn)
-//   - slo_burn          — the multi-window SLO burn-rate engine emitted a
-//     fire/resolve event; supersedes the single-window tick_p99 trigger
-//     when Sources.SLOBurnEvents is set
-//   - ingest_shed       — the daemon dropped raw alerts on a full queue
-//   - journal_drop      — the lifecycle journal evicted events
-//   - queue_high_water  — the ingest queue passed its high-water fraction
-//   - prov_conservation — the provenance ledger went negative (alerts
-//     terminal more than once: an accounting bug, never load)
+//   - slo_burn    — an SLO rule started firing since the last tick
+//   - flood_close — a flood episode closed (postmortem evidence)
 //
-// On a trigger's rising edge it dumps a self-contained snapshot — the
-// recent span-trace ring, a /metrics snapshot, goroutine and heap
-// profiles, and the active incident list — into a timestamped directory,
+// On a firing it dumps a self-contained snapshot — the recent
+// span-trace ring, a /metrics snapshot, goroutine and heap profiles,
+// and the active incident list — into a timestamped directory,
 // rate-limited by a cooldown and a dump cap so a sustained storm cannot
-// fill the disk. Health() summarizes the trigger states as a self-SLO
-// verdict for GET /api/health, and SetNotify streams anomaly events into
-// the SSE bus.
+// fill the disk. Health() reports the pipeline degraded exactly while an
+// SLO rule is firing, for GET /api/health, and SetNotify streams the
+// firings into the SSE bus.
 package flight
 
 import (
@@ -41,34 +34,27 @@ import (
 	"sync"
 	"time"
 
+	"skynet/internal/slo"
 	"skynet/internal/span"
 	"skynet/internal/telemetry"
 )
 
+// DefaultSLOTickP99 is the default tick-latency objective: the target of
+// the slo.DefaultRules tick-latency burn-rate rule.
+const DefaultSLOTickP99 = time.Second
+
 // Defaults for Config's zero fields.
 const (
-	DefaultSLOTickP99    = time.Second
-	DefaultWindow        = 64
-	DefaultQueueFraction = 0.9
-	DefaultCooldown      = time.Minute
-	DefaultMaxDumps      = 16
+	DefaultCooldown = time.Minute
+	DefaultMaxDumps = 16
 )
 
 // Config tunes the recorder. The zero value is usable: defaults apply,
-// and an empty Dir records triggers and health without writing dumps.
+// and an empty Dir records firings and health without writing dumps.
 type Config struct {
 	// Dir is the root directory dumps are written under (created on
-	// demand). Empty disables dumping; triggers and health still work.
+	// demand). Empty disables dumping; firings and health still work.
 	Dir string
-	// SLOTickP99 is the self-SLO on tick latency: the p99 of the sliding
-	// window above this fires tick_p99. Default 1s.
-	SLOTickP99 time.Duration
-	// Window is how many recent tick durations the p99 is computed over.
-	// Default 64 — at the daemon's 10s tick, ~10 minutes.
-	Window int
-	// QueueFraction is the ingest-queue high-water mark as a fraction of
-	// capacity. Default 0.9.
-	QueueFraction float64
 	// Cooldown is the minimum spacing between dumps. Default 1m.
 	Cooldown time.Duration
 	// MaxDumps caps the dump directories written over the recorder's
@@ -82,19 +68,11 @@ type Config struct {
 }
 
 // Sources are the read-only taps the recorder samples every Observe.
-// Any field may be nil/zero; its trigger or dump section is skipped.
+// Any field may be nil; its trigger or dump section is skipped.
 type Sources struct {
-	// Shed returns the cumulative count of raw alerts dropped at ingest
-	// (queue full). A positive delta between ticks fires ingest_shed.
-	Shed func() int64
-	// JournalEvicted returns the journal's cumulative eviction count. A
-	// positive delta fires journal_drop.
-	JournalEvicted func() int64
-	// Queue returns the ingest queue's current depth and capacity.
-	Queue func() (depth, capacity int)
-	// ProvInFlight returns the provenance ledger's in-flight count
-	// (ingested − terminal). Negative fires prov_conservation.
-	ProvInFlight func() int64
+	// SLO is the burn-rate engine: a rule that starts firing fires
+	// slo_burn, and Health is degraded while any rule fires.
+	SLO *slo.Engine
 	// FloodClosed returns the flood detector's cumulative closed-episode
 	// count. A positive delta fires flood_close, so every finished flood
 	// episode captures a postmortem evidence dump.
@@ -106,16 +84,6 @@ type Sources struct {
 	Metrics *telemetry.Registry
 	// Tracer supplies the recent span-trace ring written into dumps.
 	Tracer *span.Tracer
-	// SLOBurnEvents returns the burn-rate engine's cumulative event count
-	// (fire + resolve edges). When set it SUPERSEDES the recorder's
-	// internal single-window tick-p99 self-SLO: tick_p99 stops being
-	// evaluated and a positive delta here fires slo_burn instead — the
-	// rule engine's fast/slow windows are strictly better at telling a
-	// blip from a breach.
-	SLOBurnEvents func() int64
-	// SLODetail describes the most recent burn event, joined into the
-	// slo_burn trigger detail.
-	SLODetail func() string
 	// History writes the pre-trigger telemetry history window into dumps
 	// as history.json — typically tsdb.DB.SnapshotTo, so every dump
 	// carries how the pipeline trended INTO the anomaly, not just the
@@ -132,45 +100,32 @@ type Sources struct {
 // Trigger names, stable identifiers used in health reports, events,
 // metrics, and dump file names.
 const (
-	TriggerTickP99     = "tick_p99"
-	TriggerSLOBurn     = "slo_burn"
-	TriggerIngestShed  = "ingest_shed"
-	TriggerJournalDrop = "journal_drop"
-	TriggerQueueHigh   = "queue_high_water"
-	TriggerProvViolate = "prov_conservation"
-	TriggerFloodClose  = "flood_close"
+	TriggerSLOBurn    = "slo_burn"
+	TriggerFloodClose = "flood_close"
 )
 
-var triggerNames = []string{
-	TriggerTickP99, TriggerSLOBurn, TriggerIngestShed, TriggerJournalDrop,
-	TriggerQueueHigh, TriggerProvViolate, TriggerFloodClose,
-}
+var triggerNames = []string{TriggerSLOBurn, TriggerFloodClose}
 
-// TriggerState is the health view of one anomaly trigger.
+// TriggerState is the health view of one trigger.
 type TriggerState struct {
 	// Name is the trigger identifier.
 	Name string `json:"name"`
-	// Firing reports whether the trigger's condition held at the last
-	// Observe (edge triggers: whether it fired at the last Observe).
+	// Firing reports whether the trigger fired at the last Observe.
 	Firing bool `json:"firing"`
-	// Fired counts rising edges over the recorder's lifetime.
+	// Fired counts firings over the recorder's lifetime.
 	Fired int64 `json:"fired"`
 	// Last is when the trigger last fired (zero when never).
 	Last time.Time `json:"last,omitempty"`
-	// Detail describes the most recent firing ("p99 1.2s > SLO 1s").
+	// Detail describes the most recent firing.
 	Detail string `json:"detail,omitempty"`
 }
 
-// Health is the recorder's self-SLO verdict.
+// Health is the self-SLO verdict.
 type Health struct {
-	// OK is true when no trigger is firing.
+	// OK is true when no SLO rule is firing.
 	OK bool `json:"ok"`
-	// Degraded lists the names of currently firing triggers.
+	// Degraded lists the names of the SLO rules currently firing.
 	Degraded []string `json:"degraded,omitempty"`
-	// TickP99 is the current sliding-window tick latency p99.
-	TickP99 time.Duration `json:"tick_p99_ns"`
-	// SLOTickP99 is the configured latency SLO.
-	SLOTickP99 time.Duration `json:"slo_tick_p99_ns"`
 	// Ticks counts Observe calls over the recorder's lifetime.
 	Ticks int64 `json:"ticks"`
 	// Dumps counts dump directories written.
@@ -181,7 +136,7 @@ type Health struct {
 	Triggers []TriggerState `json:"triggers"`
 }
 
-// Event is one anomaly notification, emitted on a trigger's rising edge.
+// Event is one notification, emitted when a trigger fires.
 type Event struct {
 	// Time is the pipeline time of the Observe that fired the trigger.
 	Time time.Time `json:"time"`
@@ -202,17 +157,11 @@ type Recorder struct {
 	src Sources
 
 	mu       sync.Mutex
-	window   []time.Duration // tick-duration ring
-	wstart   int
-	wn       int
 	ticks    int64
-	p99      time.Duration
 	triggers map[string]*TriggerState
 
-	lastShed        int64
-	lastEvicted     int64
+	sloFiring       []bool // per rule, as of the last Observe
 	lastFloodClosed int64
-	lastSLOBurn     int64
 
 	dumps     int64
 	lastDump  string
@@ -224,17 +173,9 @@ type Recorder struct {
 }
 
 // New builds a recorder over the given sources, applying defaults to
-// zero Config fields.
+// zero Config fields. Rules already firing and floods already closed
+// when the recorder is built do not fire it.
 func New(cfg Config, src Sources) *Recorder {
-	if cfg.SLOTickP99 <= 0 {
-		cfg.SLOTickP99 = DefaultSLOTickP99
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
-	}
-	if cfg.QueueFraction <= 0 || cfg.QueueFraction > 1 {
-		cfg.QueueFraction = DefaultQueueFraction
-	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = DefaultCooldown
 	}
@@ -244,107 +185,65 @@ func New(cfg Config, src Sources) *Recorder {
 	r := &Recorder{
 		cfg:      cfg,
 		src:      src,
-		window:   make([]time.Duration, cfg.Window),
 		triggers: make(map[string]*TriggerState, len(triggerNames)),
 	}
 	for _, name := range triggerNames {
 		r.triggers[name] = &TriggerState{Name: name}
 	}
-	if src.Shed != nil {
-		r.lastShed = src.Shed()
-	}
-	if src.JournalEvicted != nil {
-		r.lastEvicted = src.JournalEvicted()
+	if src.SLO != nil {
+		for _, st := range src.SLO.Status() {
+			r.sloFiring = append(r.sloFiring, st.Firing)
+		}
 	}
 	if src.FloodClosed != nil {
 		r.lastFloodClosed = src.FloodClosed()
 	}
-	if src.SLOBurnEvents != nil {
-		r.lastSLOBurn = src.SLOBurnEvents()
-	}
 	return r
 }
 
-// SetNotify installs the anomaly event callback (the SSE bus tap). The
-// callback runs on the Observe goroutine, outside the recorder's lock.
+// SetNotify installs the event callback (the SSE bus tap). The callback
+// runs on the Observe goroutine, outside the recorder's lock.
 func (r *Recorder) SetNotify(fn func(Event)) {
 	r.mu.Lock()
 	r.notify = fn
 	r.mu.Unlock()
 }
 
-// Observe feeds one finished tick into the recorder: its duration joins
-// the sliding window, every trigger is evaluated, and rising edges dump
-// and notify. now is pipeline time (wall in the daemon, simulated under
-// replay); dur is the tick's measured wall time.
-func (r *Recorder) Observe(now time.Time, dur time.Duration) {
+// Observe samples the sources once per finished tick: a newly firing
+// SLO rule or a newly closed flood episode fires its trigger, which
+// dumps and notifies. now is pipeline time (wall in the daemon,
+// simulated under replay).
+func (r *Recorder) Observe(now time.Time) {
+	var status []slo.RuleStatus
+	if r.src.SLO != nil {
+		status = r.src.SLO.Status()
+	}
 	r.mu.Lock()
 	r.ticks++
-	if r.wn == len(r.window) {
-		r.wstart = (r.wstart + 1) % len(r.window)
-		r.wn--
-	}
-	r.window[(r.wstart+r.wn)%len(r.window)] = dur
-	r.wn++
-	r.p99 = r.windowP99()
 
 	var fired []Event
 	edge := func(name string, firing bool, detail string) {
 		st := r.triggers[name]
-		rising := firing && !st.Firing
 		st.Firing = firing
 		if firing {
 			st.Detail = detail
-		}
-		if rising {
 			st.Fired++
 			st.Last = now
 			fired = append(fired, Event{Time: now, Trigger: name, Detail: detail})
 		}
 	}
 
-	if r.src.SLOBurnEvents == nil {
-		edge(TriggerTickP99, r.p99 > r.cfg.SLOTickP99,
-			fmt.Sprintf("tick p99 %s over %d ticks > SLO %s", r.p99, r.wn, r.cfg.SLOTickP99))
-	} else {
-		// The burn-rate engine owns latency (and more) judgement; the
-		// recorder just converts its event stream into dump triggers.
-		cur := r.src.SLOBurnEvents()
-		d := cur - r.lastSLOBurn
-		r.lastSLOBurn = cur
-		detail := ""
-		if d > 0 && r.src.SLODetail != nil {
-			detail = ": " + r.src.SLODetail()
+	// The rule set is fixed at slo.New, so status lines up with sloFiring.
+	var started []string
+	for i, st := range status {
+		if st.Firing && !r.sloFiring[i] {
+			started = append(started, fmt.Sprintf("slo %s firing: fast burn %.2f, slow burn %.2f",
+				st.Rule.Name, st.FastBurn, st.SlowBurn))
 		}
-		edge(TriggerSLOBurn, d > 0,
-			fmt.Sprintf("slo burn-rate engine emitted %d events (%d total)%s", d, cur, detail))
+		r.sloFiring[i] = st.Firing
 	}
+	edge(TriggerSLOBurn, len(started) > 0, strings.Join(started, "; "))
 
-	if r.src.Shed != nil {
-		cur := r.src.Shed()
-		d := cur - r.lastShed
-		r.lastShed = cur
-		edge(TriggerIngestShed, d > 0,
-			fmt.Sprintf("ingest queue shed %d raw alerts since last tick (%d total)", d, cur))
-	}
-	if r.src.JournalEvicted != nil {
-		cur := r.src.JournalEvicted()
-		d := cur - r.lastEvicted
-		r.lastEvicted = cur
-		edge(TriggerJournalDrop, d > 0,
-			fmt.Sprintf("journal evicted %d events since last tick (%d total)", d, cur))
-	}
-	if r.src.Queue != nil {
-		depth, capacity := r.src.Queue()
-		high := capacity > 0 && float64(depth) >= r.cfg.QueueFraction*float64(capacity)
-		edge(TriggerQueueHigh, high,
-			fmt.Sprintf("ingest queue depth %d/%d ≥ %.0f%% high water", depth, capacity, 100*r.cfg.QueueFraction))
-	}
-	if r.src.ProvInFlight != nil {
-		fl := r.src.ProvInFlight()
-		edge(TriggerProvViolate, fl < 0,
-			fmt.Sprintf("provenance conservation violated: in-flight %d < 0", fl))
-	}
 	if r.src.FloodClosed != nil {
 		cur := r.src.FloodClosed()
 		d := cur - r.lastFloodClosed
@@ -372,7 +271,7 @@ func (r *Recorder) Observe(now time.Time, dur time.Duration) {
 		}
 	}
 	notify := r.notify
-	health := r.healthLocked()
+	health := r.healthLocked(status)
 	r.mu.Unlock()
 
 	// Dump and notify outside the lock: the incident snapshot callback
@@ -387,50 +286,34 @@ func (r *Recorder) Observe(now time.Time, dur time.Duration) {
 	}
 }
 
-// windowP99 computes the p99 of the current window. Caller holds mu.
-func (r *Recorder) windowP99() time.Duration {
-	if r.wn == 0 {
-		return 0
-	}
-	buf := make([]time.Duration, r.wn)
-	for i := 0; i < r.wn; i++ {
-		buf[i] = r.window[(r.wstart+i)%len(r.window)]
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	rank := (99*r.wn + 99) / 100 // ceil(0.99·n)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > r.wn {
-		rank = r.wn
-	}
-	return buf[rank-1]
-}
-
-// Health returns the current self-SLO verdict.
+// Health returns the current verdict: degraded exactly while an SLO
+// rule is firing.
 func (r *Recorder) Health() Health {
+	var status []slo.RuleStatus
+	if r.src.SLO != nil {
+		status = r.src.SLO.Status()
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.healthLocked()
+	return r.healthLocked(status)
 }
 
-func (r *Recorder) healthLocked() Health {
+func (r *Recorder) healthLocked(status []slo.RuleStatus) Health {
 	h := Health{
-		OK:         true,
-		TickP99:    r.p99,
-		SLOTickP99: r.cfg.SLOTickP99,
-		Ticks:      r.ticks,
-		Dumps:      r.dumps,
-		LastDump:   r.lastDump,
-		Triggers:   make([]TriggerState, 0, len(triggerNames)),
+		OK:       true,
+		Ticks:    r.ticks,
+		Dumps:    r.dumps,
+		LastDump: r.lastDump,
+		Triggers: make([]TriggerState, 0, len(triggerNames)),
 	}
-	for _, name := range triggerNames {
-		st := *r.triggers[name]
-		h.Triggers = append(h.Triggers, st)
+	for _, st := range status {
 		if st.Firing {
 			h.OK = false
-			h.Degraded = append(h.Degraded, name)
+			h.Degraded = append(h.Degraded, st.Rule.Name)
 		}
+	}
+	for _, name := range triggerNames {
+		h.Triggers = append(h.Triggers, *r.triggers[name])
 	}
 	return h
 }
@@ -438,19 +321,12 @@ func (r *Recorder) healthLocked() Health {
 // RegisterMetrics exposes the recorder's own state on a registry.
 func (r *Recorder) RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("skynet_flight_degraded",
-		"1 when any flight-recorder anomaly trigger is firing, else 0.",
+		"1 while any SLO rule is firing (GET /api/health degraded), else 0.",
 		func() float64 {
-			if r.Health().OK {
-				return 0
+			if r.src.SLO != nil && r.src.SLO.FiringCount() > 0 {
+				return 1
 			}
-			return 1
-		})
-	reg.GaugeFunc("skynet_flight_tick_p99_seconds",
-		"Sliding-window tick latency p99 watched by the flight recorder.",
-		func() float64 {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			return r.p99.Seconds()
+			return 0
 		})
 	reg.CounterFunc("skynet_flight_dumps_total",
 		"Flight-recorder dump directories written.",
@@ -462,7 +338,7 @@ func (r *Recorder) RegisterMetrics(reg *telemetry.Registry) {
 	for _, name := range triggerNames {
 		st := r.triggers[name]
 		reg.CounterFunc("skynet_flight_trigger_"+name+"_total",
-			"Rising edges of the "+name+" flight-recorder trigger.",
+			"Firings of the "+name+" flight-recorder trigger.",
 			func() float64 {
 				r.mu.Lock()
 				defer r.mu.Unlock()

@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"skynet/internal/slo"
 	"skynet/internal/span"
 	"skynet/internal/telemetry"
+	"skynet/internal/tsdb"
 )
 
 // dumpRoot returns where this test should write flight dumps: the
@@ -34,38 +36,84 @@ func at(sec int) time.Time {
 	return time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC).Add(time.Duration(sec) * time.Second)
 }
 
-// TestTickP99TriggerFiresAndRecovers induces one slow tick: the p99
-// trigger must fire, write a dump with the span ring, metrics snapshot,
-// and goroutine profile, flip health to degraded — and recover once the
-// slow sample leaves the window.
+// watchdog is an SLO burn-rate engine over its own store, fed one tick
+// at a time — the recorder's only judge in these tests.
+type watchdog struct {
+	db   *tsdb.DB
+	eng  *slo.Engine
+	tick uint64
+}
+
+func newWatchdog(rules ...slo.Rule) *watchdog {
+	db := tsdb.New(tsdb.Config{})
+	return &watchdog{db: db, eng: slo.New(db, rules)}
+}
+
+// step stores one sample per metric for the next tick and evaluates
+// every rule; metrics left out are missing that tick (never violating).
+func (w *watchdog) step(vals map[string]float64) {
+	for m, v := range vals {
+		w.db.Append(m, w.tick, v)
+	}
+	w.eng.Evaluate(w.tick)
+	w.tick++
+}
+
+// blipRule fires on the first tick its metric exceeds 1 and resolves on
+// the first tick it does not.
+func blipRule(name, metric string) slo.Rule {
+	return slo.Rule{Name: name, Metric: metric, Target: 1,
+		Budget: 1, FastWindow: 1, SlowWindow: 1, FastBurn: 1, SlowBurn: 1}
+}
+
+// defaultRule picks one production rule by name.
+func defaultRule(t *testing.T, name string) slo.Rule {
+	t.Helper()
+	for _, r := range slo.DefaultRules(DefaultSLOTickP99) {
+		if r.Name == name {
+			return r
+		}
+	}
+	t.Fatalf("no default SLO rule %q", name)
+	return slo.Rule{}
+}
+
+// TestTickP99TriggerFiresAndRecovers induces one slow tick past the
+// tick-latency objective: the burn must fire slo_burn, write a dump with
+// the span ring, metrics snapshot, and goroutine profile, flip health to
+// degraded naming the rule — and recover once the rule resolves, with no
+// second event and no second dump.
 func TestTickP99TriggerFiresAndRecovers(t *testing.T) {
 	dir := dumpRoot(t)
 	tracer := span.NewTracer(4)
 	reg := telemetry.New()
 	reg.Counter("skynet_test_sentinel", "Present in dump snapshots.").Inc()
 	// Record one real trace so spans.json has content.
-	act := tracer.StartTick(1, at(0))
-	r := act.Begin(span.Root, "preprocess")
+	act := span.Start(tracer, nil, 1, at(0))
+	r := act.Begin(span.Root, span.StagePreprocess)
 	act.End(r, 3)
 	act.Finish()
 
-	rec := New(Config{Dir: dir, SLOTickP99: 100 * time.Millisecond, Window: 4},
-		Sources{Tracer: tracer, Metrics: reg, Incidents: func() any { return []string{"inc-1"} }})
+	wd := newWatchdog(blipRule("tick-latency", "tick_seconds"))
+	rec := New(Config{Dir: dir},
+		Sources{SLO: wd.eng, Tracer: tracer, Metrics: reg, Incidents: func() any { return []string{"inc-1"} }})
 
 	var events []Event
 	rec.SetNotify(func(ev Event) { events = append(events, ev) })
 
-	rec.Observe(at(0), 10*time.Millisecond)
+	wd.step(map[string]float64{"tick_seconds": 0.01})
+	rec.Observe(at(0))
 	if h := rec.Health(); !h.OK {
 		t.Fatalf("healthy tick reported degraded: %+v", h)
 	}
-	rec.Observe(at(10), 500*time.Millisecond) // the induced slow tick
+	wd.step(map[string]float64{"tick_seconds": 5}) // the induced slow tick
+	rec.Observe(at(10))
 	h := rec.Health()
 	if h.OK {
 		t.Fatal("slow tick did not flip health to degraded")
 	}
-	if len(h.Degraded) != 1 || h.Degraded[0] != TriggerTickP99 {
-		t.Fatalf("degraded = %v, want [%s]", h.Degraded, TriggerTickP99)
+	if len(h.Degraded) != 1 || h.Degraded[0] != "tick-latency" {
+		t.Fatalf("degraded = %v, want [tick-latency]", h.Degraded)
 	}
 	if h.Dumps != 1 || h.LastDump == "" {
 		t.Fatalf("dumps = %d lastDump = %q, want one dump", h.Dumps, h.LastDump)
@@ -84,16 +132,15 @@ func TestTickP99TriggerFiresAndRecovers(t *testing.T) {
 	if err != nil || !strings.Contains(string(data), "skynet_test_sentinel") {
 		t.Errorf("metrics.prom missing registry content: %v", err)
 	}
-	if len(events) != 1 || events[0].Trigger != TriggerTickP99 || events[0].DumpDir != h.LastDump {
-		t.Fatalf("events = %+v, want one tick_p99 event carrying the dump dir", events)
+	if len(events) != 1 || events[0].Trigger != TriggerSLOBurn || events[0].DumpDir != h.LastDump ||
+		!strings.Contains(events[0].Detail, "tick-latency") {
+		t.Fatalf("events = %+v, want one slo_burn event naming the rule and carrying the dump dir", events)
 	}
 
-	// Window is 4: four more fast ticks evict the slow sample.
-	for i := 0; i < 4; i++ {
-		rec.Observe(at(20+10*i), 10*time.Millisecond)
-	}
+	wd.step(map[string]float64{"tick_seconds": 0.01})
+	rec.Observe(at(100))
 	if h := rec.Health(); !h.OK {
-		t.Fatalf("health did not recover after slow sample left the window: %+v", h)
+		t.Fatalf("health did not recover after the rule resolved: %+v", h)
 	}
 	// Recovery emits no event and no second dump.
 	if len(events) != 1 {
@@ -104,77 +151,86 @@ func TestTickP99TriggerFiresAndRecovers(t *testing.T) {
 	}
 }
 
-// TestEdgeTriggersFireOnDeltas drives the shed and journal counters: the
-// triggers must fire on positive deltas only, once per rising edge.
+// TestEdgeTriggersFireOnDeltas drives the ingest-shed and journal-drop
+// burn rules over cumulative counters: a one-tick shed alone no longer
+// fires anything, a sustained one fires slo_burn once on the rule's
+// rising edge, and health stays degraded while the rule burns.
 func TestEdgeTriggersFireOnDeltas(t *testing.T) {
-	var shed, evicted atomic.Int64
-	shed.Store(5) // pre-existing sheds must not fire at construction
-	rec := New(Config{Window: 8},
-		Sources{Shed: shed.Load, JournalEvicted: evicted.Load})
+	shedRule := defaultRule(t, "ingest-shed")
+	wd := newWatchdog(shedRule, defaultRule(t, "journal-drop"))
+	rec := New(Config{}, Sources{SLO: wd.eng})
 	var events []Event
 	rec.SetNotify(func(ev Event) { events = append(events, ev) })
 
-	rec.Observe(at(0), time.Millisecond)
-	if h := rec.Health(); !h.OK {
-		t.Fatalf("baseline sheds fired a trigger: %+v", h)
+	shed, evicted := 5.0, 0.0 // pre-existing sheds are a baseline, not a delta
+	tick := func(sec int) {
+		wd.step(map[string]float64{shedRule.Metric: shed, "skynet_journal_events_evicted_total": evicted})
+		rec.Observe(at(sec))
 	}
-	shed.Add(3)
-	evicted.Add(1)
-	rec.Observe(at(10), time.Millisecond)
-	h := rec.Health()
-	if h.OK || len(h.Degraded) != 2 {
-		t.Fatalf("want ingest_shed+journal_drop firing, got %+v", h.Degraded)
+	tick(0)
+	shed += 3
+	evicted++
+	tick(10)
+	tick(20)
+	if h := rec.Health(); !h.OK || len(events) != 0 {
+		t.Fatalf("one-tick shed and drop fired: health %+v events %+v", h, events)
 	}
-	if len(events) != 2 {
-		t.Fatalf("want 2 events, got %+v", events)
+	// Sustained shedding burns the budget in both windows.
+	sec := 30
+	for len(events) == 0 && sec < 300 {
+		shed++
+		tick(sec)
+		sec += 10
 	}
-	// No new deltas: both recover.
-	rec.Observe(at(20), time.Millisecond)
-	if h := rec.Health(); !h.OK {
-		t.Fatalf("edge triggers stayed firing with no new deltas: %+v", h.Degraded)
+	if len(events) != 1 || events[0].Trigger != TriggerSLOBurn || !strings.Contains(events[0].Detail, "ingest-shed") {
+		t.Fatalf("sustained shed: events %+v, want one slo_burn naming ingest-shed", events)
 	}
-	// A second burst re-fires.
-	shed.Add(1)
-	rec.Observe(at(30), time.Millisecond)
-	found := false
+	if h := rec.Health(); h.OK || len(h.Degraded) != 1 || h.Degraded[0] != "ingest-shed" {
+		t.Fatalf("health while shedding = %+v, want degraded [ingest-shed]", h)
+	}
+	// Still burning: no second edge.
+	shed++
+	tick(sec)
+	if len(events) != 1 {
+		t.Fatalf("steady burn re-fired: %+v", events)
+	}
 	for _, got := range rec.Health().Triggers {
-		if got.Name == TriggerIngestShed {
-			found = true
-			if got.Fired != 2 {
-				t.Fatalf("ingest_shed fired = %+v, want 2 edges", got)
-			}
+		if got.Name == TriggerSLOBurn && got.Fired != 1 {
+			t.Fatalf("slo_burn fired = %d, want 1 edge", got.Fired)
 		}
-	}
-	if !found {
-		t.Fatal("ingest_shed missing from health triggers")
 	}
 }
 
-// TestQueueAndConservationTriggers covers the level triggers.
+// TestQueueAndConservationTriggers covers the level rules that replaced
+// the recorder's own queue and conservation triggers: one tick at queue
+// high water with a negative lineage residual fires both rules at once,
+// in one slo_burn event, and both resolve once the fast window drains.
 func TestQueueAndConservationTriggers(t *testing.T) {
-	var depth, inflight atomic.Int64
-	rec := New(Config{Window: 8, QueueFraction: 0.5},
-		Sources{
-			Queue:        func() (int, int) { return int(depth.Load()), 100 },
-			ProvInFlight: inflight.Load,
-		})
-	depth.Store(49)
-	rec.Observe(at(0), time.Millisecond)
+	wd := newWatchdog(defaultRule(t, "ingest-queue-high"), defaultRule(t, "lineage-conservation"))
+	rec := New(Config{}, Sources{SLO: wd.eng})
+	var events []Event
+	rec.SetNotify(func(ev Event) { events = append(events, ev) })
+	tick := func(sec int, load, inflight float64) {
+		wd.step(map[string]float64{"skynet_ingest_queue_load": load, "skynet_lineage_in_flight": inflight})
+		rec.Observe(at(sec))
+	}
+	tick(0, 0.89, 0)
 	if !rec.Health().OK {
 		t.Fatal("queue below high water fired")
 	}
-	depth.Store(50)
-	inflight.Store(-1)
-	rec.Observe(at(10), time.Millisecond)
+	tick(10, 0.9, -1)
 	h := rec.Health()
-	if len(h.Degraded) != 2 || h.Degraded[0] != TriggerQueueHigh || h.Degraded[1] != TriggerProvViolate {
+	if len(h.Degraded) != 2 || h.Degraded[0] != "ingest-queue-high" || h.Degraded[1] != "lineage-conservation" {
 		t.Fatalf("degraded = %v", h.Degraded)
 	}
-	depth.Store(0)
-	inflight.Store(0)
-	rec.Observe(at(20), time.Millisecond)
+	if len(events) != 1 || events[0].Trigger != TriggerSLOBurn {
+		t.Fatalf("events = %+v, want one slo_burn for both rules", events)
+	}
+	for i := 0; i < 4; i++ {
+		tick(20+10*i, 0, 0)
+	}
 	if !rec.Health().OK {
-		t.Fatal("level triggers did not recover")
+		t.Fatalf("level rules did not recover: %+v", rec.Health().Degraded)
 	}
 }
 
@@ -182,13 +238,12 @@ func TestQueueAndConservationTriggers(t *testing.T) {
 // the first firing dumps, and MaxDumps bounds the lifetime total.
 func TestDumpCooldownAndCap(t *testing.T) {
 	dir := dumpRoot(t)
-	var shed atomic.Int64
-	rec := New(Config{Dir: dir, Window: 4, Cooldown: time.Minute, MaxDumps: 2},
-		Sources{Shed: shed.Load})
+	var closed atomic.Int64
+	rec := New(Config{Dir: dir, Cooldown: time.Minute, MaxDumps: 2},
+		Sources{FloodClosed: closed.Load})
 	fire := func(sec int) {
-		shed.Add(1)
-		rec.Observe(at(sec), time.Millisecond)
-		rec.Observe(at(sec+1), time.Millisecond) // recover so the next delta is a rising edge
+		closed.Add(1)
+		rec.Observe(at(sec))
 	}
 	fire(0)   // dump 1
 	fire(10)  // within cooldown: no dump
@@ -214,16 +269,20 @@ func TestDumpCooldownAndCap(t *testing.T) {
 // trigger class dumps normally.
 func TestTwoTriggersWithinCooldown(t *testing.T) {
 	dir := dumpRoot(t)
-	var shed, evicted atomic.Int64
-	rec := New(Config{Dir: dir, Window: 4, Cooldown: time.Minute, MaxDumps: 4},
-		Sources{Shed: shed.Load, JournalEvicted: evicted.Load})
+	var closed atomic.Int64
+	wd := newWatchdog(blipRule("tick-latency", "lat"))
+	rec := New(Config{Dir: dir, Cooldown: time.Minute, MaxDumps: 4},
+		Sources{SLO: wd.eng, FloodClosed: closed.Load})
 	var events []Event
 	rec.SetNotify(func(ev Event) { events = append(events, ev) })
+	tick := func(sec int, lat float64) {
+		wd.step(map[string]float64{"lat": lat})
+		rec.Observe(at(sec))
+	}
 
-	shed.Add(1)
-	rec.Observe(at(0), time.Millisecond) // dump 1
-	evicted.Add(1)
-	rec.Observe(at(10), time.Millisecond) // within cooldown: event only
+	closed.Add(1)
+	tick(0, 0)  // dump 1
+	tick(10, 2) // slo burn within cooldown: event only
 	h := rec.Health()
 	if h.Dumps != 1 {
 		t.Fatalf("dumps = %d after second trigger inside cooldown, want 1", h.Dumps)
@@ -231,28 +290,27 @@ func TestTwoTriggersWithinCooldown(t *testing.T) {
 	if len(events) != 2 {
 		t.Fatalf("events = %+v, want 2", events)
 	}
-	if events[0].Trigger != TriggerIngestShed || events[0].DumpDir == "" {
+	if events[0].Trigger != TriggerFloodClose || events[0].DumpDir == "" {
 		t.Fatalf("first event %+v should carry the dump", events[0])
 	}
-	if events[1].Trigger != TriggerJournalDrop || events[1].DumpDir != "" {
+	if events[1].Trigger != TriggerSLOBurn || events[1].DumpDir != "" {
 		t.Fatalf("second event %+v should be event-only (no dump dir)", events[1])
 	}
 	// The suppressed trigger was detected, just not dumped.
 	for _, tr := range h.Triggers {
-		if tr.Name == TriggerJournalDrop && tr.Fired != 1 {
-			t.Fatalf("journal_drop fired = %d, want 1 (detection is never rate-limited)", tr.Fired)
+		if tr.Name == TriggerSLOBurn && tr.Fired != 1 {
+			t.Fatalf("slo_burn fired = %d, want 1 (detection is never rate-limited)", tr.Fired)
 		}
 	}
 
-	// Recover both edges, then re-fire the suppressed class after the
-	// cooldown: it must dump this time.
-	rec.Observe(at(20), time.Millisecond)
-	evicted.Add(1)
-	rec.Observe(at(70), time.Millisecond)
+	// Resolve the burn, then re-fire it after the cooldown: it must dump
+	// this time.
+	tick(20, 0)
+	tick(70, 2)
 	if h := rec.Health(); h.Dumps != 2 {
 		t.Fatalf("dumps = %d after cooldown elapsed, want 2", h.Dumps)
 	}
-	if last := events[len(events)-1]; last.Trigger != TriggerJournalDrop || last.DumpDir == "" {
+	if last := events[len(events)-1]; last.Trigger != TriggerSLOBurn || last.DumpDir == "" {
 		t.Fatalf("post-cooldown event %+v should carry a dump", last)
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2 {
@@ -260,19 +318,25 @@ func TestTwoTriggersWithinCooldown(t *testing.T) {
 	}
 }
 
-// TestSLOBurnSupersedesTickP99 wires the burn-rate engine taps: the
-// internal single-window tick_p99 trigger must stop evaluating (a tick
-// far over the SLO does not fire), a positive burn-event delta fires
-// slo_burn with the engine's detail, and dumps embed the pre-trigger
-// history window as history.json.
+// TestSLOBurnSupersedesTickP99 pins that the recorder judges nothing
+// itself: with no burn-rate engine wired nothing ever degrades health,
+// and with one wired slo_burn fires carrying the rule's burn detail, and
+// its dump embeds the pre-trigger history window as history.json.
 func TestSLOBurnSupersedesTickP99(t *testing.T) {
+	blind := New(Config{}, Sources{})
+	for i := 0; i < 3; i++ {
+		blind.Observe(at(i))
+	}
+	if h := blind.Health(); !h.OK || h.Ticks != 3 {
+		t.Fatalf("recorder without an SLO engine judged something: %+v", h)
+	}
+
 	dir := dumpRoot(t)
-	var burns atomic.Int64
-	burns.Store(3) // events from before the recorder existed must not fire
-	rec := New(Config{Dir: dir, SLOTickP99: 100 * time.Millisecond, Window: 4},
+	wd := newWatchdog(blipRule("tick-latency", "lat"))
+	wd.step(map[string]float64{"lat": 2}) // firing before the recorder existed
+	rec := New(Config{Dir: dir},
 		Sources{
-			SLOBurnEvents: burns.Load,
-			SLODetail:     func() string { return "tick-latency fast 15.00 slow 7.10" },
+			SLO: wd.eng,
 			History: func(w io.Writer) error {
 				_, err := io.WriteString(w, `{"series":[]}`)
 				return err
@@ -281,28 +345,31 @@ func TestSLOBurnSupersedesTickP99(t *testing.T) {
 	var events []Event
 	rec.SetNotify(func(ev Event) { events = append(events, ev) })
 
-	rec.Observe(at(0), 500*time.Millisecond) // 5x the tick SLO
-	if h := rec.Health(); !h.OK {
-		t.Fatalf("tick_p99 fired despite burn-rate engine wired: %+v", h.Degraded)
+	wd.step(map[string]float64{"lat": 2})
+	rec.Observe(at(0))
+	if len(events) != 0 {
+		t.Fatalf("a burn already firing at construction fired: %+v", events)
 	}
-	burns.Add(1)
-	rec.Observe(at(10), time.Millisecond)
+	wd.step(map[string]float64{"lat": 0})
+	rec.Observe(at(10))
+	wd.step(map[string]float64{"lat": 3})
+	rec.Observe(at(20))
 	h := rec.Health()
-	if len(h.Degraded) != 1 || h.Degraded[0] != TriggerSLOBurn {
-		t.Fatalf("degraded = %v, want [%s]", h.Degraded, TriggerSLOBurn)
+	if len(h.Degraded) != 1 || h.Degraded[0] != "tick-latency" {
+		t.Fatalf("degraded = %v, want [tick-latency]", h.Degraded)
 	}
 	if len(events) != 1 || events[0].Trigger != TriggerSLOBurn ||
-		!strings.Contains(events[0].Detail, "tick-latency fast 15.00") {
-		t.Fatalf("events = %+v, want one slo_burn carrying the engine detail", events)
+		!strings.Contains(events[0].Detail, "slo tick-latency firing: fast burn 1.00") {
+		t.Fatalf("events = %+v, want one slo_burn carrying the rule's burn detail", events)
 	}
 	data, err := os.ReadFile(filepath.Join(h.LastDump, "history.json"))
 	if err != nil || string(data) != `{"series":[]}` {
 		t.Fatalf("history.json = %q (%v), want the history snapshot", data, err)
 	}
-	// No new events: slo_burn recovers.
-	rec.Observe(at(20), time.Millisecond)
+	wd.step(map[string]float64{"lat": 0})
+	rec.Observe(at(30))
 	if h := rec.Health(); !h.OK {
-		t.Fatalf("slo_burn stayed firing with no new events: %+v", h.Degraded)
+		t.Fatalf("health stayed degraded after the rule resolved: %+v", h.Degraded)
 	}
 }
 
@@ -313,10 +380,10 @@ func TestSLOBurnSupersedesTickP99(t *testing.T) {
 // quiescent dump must leave exactly MaxDumpDirs directories.
 func TestRetentionRacesDumpInProgress(t *testing.T) {
 	dir := dumpRoot(t)
-	var shed atomic.Int64
-	rec := New(Config{Dir: dir, Window: 4, Cooldown: time.Nanosecond, MaxDumps: -1, MaxDumpDirs: 2},
+	var closed atomic.Int64
+	rec := New(Config{Dir: dir, Cooldown: time.Nanosecond, MaxDumps: -1, MaxDumpDirs: 2},
 		Sources{
-			Shed: shed.Load,
+			FloodClosed: closed.Load,
 			Incidents: func() any {
 				time.Sleep(2 * time.Millisecond) // hold the dump open mid-write
 				return []string{"inc"}
@@ -328,9 +395,9 @@ func TestRetentionRacesDumpInProgress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				shed.Add(1)
-				rec.Observe(at(g*100+i*2), time.Millisecond)
-				rec.Observe(at(g*100+i*2+1), time.Millisecond) // recover the edge
+				closed.Add(1)
+				rec.Observe(at(g*100 + i*2))
+				rec.Observe(at(g*100 + i*2 + 1))
 			}
 		}(g)
 	}
@@ -340,9 +407,9 @@ func TestRetentionRacesDumpInProgress(t *testing.T) {
 	}
 	// Quiesce, then one final sequential dump: its prune pass sees every
 	// completed directory and must enforce the cap.
-	rec.Observe(at(1000), time.Millisecond)
-	shed.Add(1)
-	rec.Observe(at(1001), time.Millisecond)
+	rec.Observe(at(1000))
+	closed.Add(1)
+	rec.Observe(at(1001))
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -360,8 +427,8 @@ func TestRetentionRacesDumpInProgress(t *testing.T) {
 
 // TestRegisterMetrics checks the self-metrics reflect recorder state.
 func TestRegisterMetrics(t *testing.T) {
-	var shed atomic.Int64
-	rec := New(Config{Window: 4}, Sources{Shed: shed.Load})
+	wd := newWatchdog(blipRule("tick-latency", "lat"))
+	rec := New(Config{}, Sources{SLO: wd.eng})
 	reg := telemetry.New()
 	rec.RegisterMetrics(reg)
 	find := func(name string) float64 {
@@ -373,20 +440,21 @@ func TestRegisterMetrics(t *testing.T) {
 		t.Fatalf("metric %s not registered", name)
 		return 0
 	}
-	rec.Observe(at(0), time.Millisecond)
+	wd.step(map[string]float64{"lat": 0})
+	rec.Observe(at(0))
 	if v := find("skynet_flight_degraded"); v != 0 {
 		t.Fatalf("degraded = %v at rest", v)
 	}
-	shed.Add(1)
-	rec.Observe(at(10), time.Millisecond)
+	wd.step(map[string]float64{"lat": 2})
+	rec.Observe(at(10))
 	if v := find("skynet_flight_degraded"); v != 1 {
 		t.Fatalf("degraded = %v while firing", v)
 	}
-	if v := find("skynet_flight_trigger_ingest_shed_total"); v != 1 {
+	if v := find("skynet_flight_trigger_slo_burn_total"); v != 1 {
 		t.Fatalf("trigger counter = %v, want 1", v)
 	}
-	if v := find("skynet_flight_tick_p99_seconds"); v <= 0 {
-		t.Fatalf("tick p99 gauge = %v", v)
+	if v := find("skynet_flight_trigger_flood_close_total"); v != 0 {
+		t.Fatalf("flood_close counter = %v, want 0", v)
 	}
 }
 
@@ -398,13 +466,12 @@ func TestDumpRetention(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, "keepme"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	var shed atomic.Int64
-	rec := New(Config{Dir: dir, Window: 4, Cooldown: time.Second, MaxDumps: -1, MaxDumpDirs: 2},
-		Sources{Shed: shed.Load})
+	var closed atomic.Int64
+	rec := New(Config{Dir: dir, Cooldown: time.Second, MaxDumps: -1, MaxDumpDirs: 2},
+		Sources{FloodClosed: closed.Load})
 	fire := func(sec int) {
-		shed.Add(1)
-		rec.Observe(at(sec), time.Millisecond)
-		rec.Observe(at(sec+1), time.Millisecond) // recover so the next delta is a rising edge
+		closed.Add(1)
+		rec.Observe(at(sec))
 	}
 	for i := 0; i < 4; i++ {
 		fire(i * 70)
@@ -444,31 +511,37 @@ func TestDumpRetention(t *testing.T) {
 	}
 }
 
-// TestFloodCloseTrigger verifies the flood_close edge: a closed flood
-// episode fires one dump trigger, and pre-existing closes at
-// construction do not.
+// TestFloodCloseTrigger verifies the flood_close trigger: a closed flood
+// episode fires one dump trigger without degrading health (a finished
+// flood is evidence, not an SLO breach), and pre-existing closes at
+// construction do not fire.
 func TestFloodCloseTrigger(t *testing.T) {
 	var closed atomic.Int64
 	closed.Store(2) // episodes closed before the recorder existed
-	rec := New(Config{Window: 4}, Sources{FloodClosed: closed.Load})
+	rec := New(Config{}, Sources{FloodClosed: closed.Load})
 	var events []Event
 	rec.SetNotify(func(ev Event) { events = append(events, ev) })
 
-	rec.Observe(at(0), time.Millisecond)
-	if h := rec.Health(); !h.OK {
-		t.Fatalf("pre-existing flood closes fired at construction: %+v", h.Degraded)
+	rec.Observe(at(0))
+	if len(events) != 0 {
+		t.Fatalf("pre-existing flood closes fired at construction: %+v", events)
 	}
 	closed.Add(1)
-	rec.Observe(at(10), time.Millisecond)
-	h := rec.Health()
-	if len(h.Degraded) != 1 || h.Degraded[0] != TriggerFloodClose {
-		t.Fatalf("degraded = %v, want [%s]", h.Degraded, TriggerFloodClose)
-	}
+	rec.Observe(at(10))
 	if len(events) != 1 || events[0].Trigger != TriggerFloodClose {
 		t.Fatalf("events = %+v, want one flood_close", events)
 	}
-	rec.Observe(at(20), time.Millisecond)
-	if h := rec.Health(); !h.OK {
-		t.Fatalf("flood_close stayed firing with no new closes: %+v", h.Degraded)
+	h := rec.Health()
+	if !h.OK {
+		t.Fatalf("flood close degraded health: %+v", h.Degraded)
+	}
+	for _, tr := range h.Triggers {
+		if tr.Name == TriggerFloodClose && (!tr.Firing || tr.Fired != 1) {
+			t.Fatalf("flood_close state = %+v, want firing once", tr)
+		}
+	}
+	rec.Observe(at(20))
+	if len(events) != 1 {
+		t.Fatalf("flood_close re-fired with no new closes: %+v", events)
 	}
 }

@@ -235,12 +235,6 @@ func (s *Server) Stats() Stats {
 	return s.stats
 }
 
-// QueueLoad returns the dispatch queue's current depth and capacity —
-// the backpressure surface watched by the flight recorder.
-func (s *Server) QueueLoad() (depth, capacity int) {
-	return len(s.queue), cap(s.queue)
-}
-
 // Close stops the listeners, drains in-flight work, and returns when all
 // goroutines have exited. It is idempotent.
 func (s *Server) Close() error {
@@ -439,6 +433,14 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("skynet_ingest_queue_depth",
 		"Current dispatch queue depth.",
 		func() float64 { return float64(len(s.queue)) })
+	reg.GaugeFunc("skynet_ingest_queue_load",
+		"Current dispatch queue depth as a fraction of its capacity (the ingest-queue-high SLO input).",
+		func() float64 {
+			if cap(s.queue) == 0 {
+				return 0
+			}
+			return float64(len(s.queue)) / float64(cap(s.queue))
+		})
 }
 
 // acceptLoop accepts TCP connections up to MaxConns.

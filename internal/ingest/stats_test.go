@@ -138,6 +138,9 @@ func TestRegisterMetricsMatchesStats(t *testing.T) {
 	if int(vals["skynet_ingest_queue_high_water"]) != st.QueueHighWater {
 		t.Errorf("metrics hwm %v, stats %d", vals["skynet_ingest_queue_high_water"], st.QueueHighWater)
 	}
+	if load, ok := vals["skynet_ingest_queue_load"]; !ok || load < 0 || load > 1 {
+		t.Errorf("skynet_ingest_queue_load = %v (registered %v), want a fraction in [0, 1]", load, ok)
+	}
 	var b strings.Builder
 	if err := reg.Expose(&b); err != nil {
 		t.Fatal(err)

@@ -57,7 +57,6 @@ import (
 	"skynet/internal/incident"
 	"skynet/internal/intern"
 	"skynet/internal/par"
-	"skynet/internal/prof"
 	"skynet/internal/provenance"
 	"skynet/internal/span"
 	"skynet/internal/topology"
@@ -261,13 +260,9 @@ type Locator struct {
 	// branch off the hot path.
 	prov *provenance.Recorder
 
-	// spans is the tracing context of the current engine tick; the zero
-	// Scope (tracing off) makes every span call a no-op.
+	// spans is the instrumentation context of the current engine tick;
+	// the zero Scope (instrumentation off) makes every span call a no-op.
 	spans span.Scope
-
-	// profL labels the expiry fan-out with its pprof stage; nil
-	// (profiling off) makes every call a nil-receiver no-op.
-	profL *prof.Labeler
 
 	// Dense-ID layer. Interning happens only on the caller's goroutine
 	// (Add, or the serial prologue of AddBatch); parallel phases only
@@ -362,10 +357,6 @@ func (l *Locator) EnableProvenance(rec *provenance.Recorder) { l.prov = rec }
 // of the scope's parent span. The engine refreshes it every tick; it
 // never affects incident output.
 func (l *Locator) SetSpans(sc span.Scope) { l.spans = sc }
-
-// SetProf installs the pprof stage labeler; the expiry fan-out then runs
-// under its stage (and shard) labels. Never affects incident output.
-func (l *Locator) SetProf(p *prof.Labeler) { l.profL = p }
 
 // ShardNodes reports the live main-tree node count of one shard.
 func (l *Locator) ShardNodes(i int) int { return len(l.shards[i].live) }
@@ -521,7 +512,7 @@ func (l *Locator) AddBatch(batch []alert.Alert) {
 	nInc := len(l.active)
 	// Fork tasks mix kinds: task < nInc absorbs into one incident, the
 	// rest consolidate one node shard each.
-	f := l.spans.Fork("addbatch_fan", nInc+len(l.shards))
+	f := l.spans.Fork(span.StageAddBatchFan, nInc+len(l.shards))
 	par.DoTimed(l.workers, nInc+len(l.shards), f.Timer(), func(task int) {
 		if task < nInc {
 			in := l.active[task]
@@ -637,11 +628,9 @@ func (l *Locator) Check(now time.Time) []*incident.Incident {
 // node shard; incident timeout stays serial so the closed list keeps its
 // insertion order.
 func (l *Locator) expire(now time.Time) {
-	f := l.spans.Fork("expire", len(l.shards))
+	f := l.spans.Fork(span.StageExpire, len(l.shards))
 	l.expireNow = now
-	l.profL.Enter(prof.StageLocatorExpire)
 	par.DoTimed(l.workers, len(l.shards), f.Timer(), l.expireFn)
-	l.profL.Exit()
 	removed := false
 	for s := range l.shards {
 		sh := &l.shards[s]
@@ -959,7 +948,7 @@ func (l *Locator) generate(now time.Time) []*incident.Incident {
 	if len(l.members) == 0 {
 		return nil
 	}
-	cmR := l.spans.Begin("components")
+	cmR := l.spans.Begin(span.StageComponents)
 	comps := l.components()
 	l.spans.End(cmR, len(comps))
 	if cap(l.countBuf) < len(comps) {
@@ -968,7 +957,7 @@ func (l *Locator) generate(now time.Time) []*incident.Incident {
 	counts := l.countBuf[:len(comps)]
 	l.counts = counts
 	l.growTypeScratch()
-	cf := l.spans.Fork("compcount", len(comps))
+	cf := l.spans.Fork(span.StageCompCount, len(comps))
 	par.DoTimedWorkers(l.workers, len(comps), cf.Timer(), l.countFn)
 	var created []*incident.Incident
 	for ci, comp := range comps {

@@ -68,25 +68,15 @@ var suite = []struct {
 	Name  string
 	Bench func(b *testing.B)
 }{
-	{"engine_tick", func(b *testing.B) { benchEngineTick(b, nil, nil, nil, false, false, false) }},
+	{"engine_tick", func(b *testing.B) { EngineTick(b, TickSetup{}) }},
 	{"engine_tick_provenance", func(b *testing.B) {
-		benchEngineTick(b, provenance.New(provenance.Config{}), nil, nil, false, false, false)
+		EngineTick(b, TickSetup{Provenance: provenance.New(provenance.Config{})})
 	}},
-	{"engine_tick_spans", func(b *testing.B) {
-		benchEngineTick(b, nil, span.NewTracer(0), nil, false, false, false)
-	}},
-	{"engine_tick_flood", func(b *testing.B) {
-		benchEngineTick(b, nil, nil, flood.New(flood.Config{}), false, false, false)
-	}},
-	{"engine_tick_history", func(b *testing.B) {
-		benchEngineTick(b, nil, nil, nil, true, false, false)
-	}},
-	{"engine_tick_profiled", func(b *testing.B) {
-		benchEngineTick(b, nil, nil, nil, false, true, false)
-	}},
-	{"engine_tick_fanout", func(b *testing.B) {
-		benchEngineTick(b, nil, nil, nil, false, false, true)
-	}},
+	{"engine_tick_spans", func(b *testing.B) { EngineTick(b, TickSetup{Tracer: span.NewTracer(0)}) }},
+	{"engine_tick_flood", func(b *testing.B) { EngineTick(b, TickSetup{Flood: flood.New(flood.Config{})}) }},
+	{"engine_tick_history", func(b *testing.B) { EngineTick(b, TickSetup{History: true}) }},
+	{"engine_tick_profiled", func(b *testing.B) { EngineTick(b, TickSetup{Profiled: true}) }},
+	{"engine_tick_fanout", func(b *testing.B) { EngineTick(b, TickSetup{Fanout: true}) }},
 	{"preprocessor_stream", benchPreprocessorStream},
 	{"incident_entries", benchIncidentEntries},
 	{"batch_absorb", benchBatchAbsorb},
@@ -237,42 +227,70 @@ func appendMemRegression(out []string, name, metric string, base, cur int64, mem
 	return out
 }
 
-// benchEngineTick drives repeated ingest+tick rounds over a severe-failure
-// batch, optionally with the lineage recorder, span tracer, flood
-// detector, the full telemetry-history stack (registry + per-tick
-// sampler + SLO burn-rate engine with self-monitoring on), the
-// continuous profiler's always-on parts (pprof stage labeler +
-// runtime/metrics sampler), or the fan-out serving hub attached — each
-// pairing with the bare run bounds that instrument's overhead per tick.
-func benchEngineTick(b *testing.B, rec *provenance.Recorder, tracer *span.Tracer, fl *flood.Recorder, history, profiled, fan bool) {
+// TickSetup selects what EngineTick attaches to the engine. The zero
+// value is the bare pipeline at the default worker fan-out; pairing any
+// field with the bare run bounds that instrument's overhead per tick.
+type TickSetup struct {
+	// Workers is Config.Workers (0 = all cores).
+	Workers int
+	// Registry and Journal attach telemetry (either may be nil).
+	Registry *telemetry.Registry
+	Journal  *telemetry.Journal
+	// Provenance, Tracer, and Flood attach those recorders when non-nil.
+	Provenance *provenance.Recorder
+	Tracer     *span.Tracer
+	Flood      *flood.Recorder
+	// History attaches the telemetry-history stack: per-tick sampler plus
+	// SLO burn-rate engine with self-monitoring on (over Registry, or a
+	// fresh registry when it is nil).
+	History bool
+	// Profiled attaches the continuous profiler's always-on parts: the
+	// pprof stage labeler and the runtime/metrics sampler.
+	Profiled bool
+	// Fanout attaches a fan-out serving hub.
+	Fanout bool
+}
+
+// EngineTick drives repeated ingest+tick rounds over a severe-failure
+// batch with the instruments s selects attached. It is the one
+// definition of the engine-tick benchmark: the skynet-bench suite and
+// the repo-root BenchmarkEngineTick* functions both run it.
+func EngineTick(b *testing.B, s TickSetup) {
 	topo := topology.MustGenerate(topology.SmallConfig())
 	alerts := experiments.SyntheticStructuredAlerts(topo, 2000, 1)
 	classifier, err := preprocess.BootstrapClassifier()
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := core.NewEngine(core.DefaultConfig(), topo, classifier, nil, nil)
-	if rec != nil {
-		eng.EnableProvenance(rec)
+	cfg := core.DefaultConfig()
+	cfg.Workers = s.Workers
+	eng := core.NewEngine(cfg, topo, classifier, nil, nil)
+	reg := s.Registry
+	if s.History && reg == nil {
+		reg = telemetry.New()
 	}
-	if tracer != nil {
-		eng.EnableTracing(tracer)
+	if reg != nil || s.Journal != nil {
+		eng.EnableTelemetry(reg, s.Journal)
 	}
-	if fl != nil {
-		eng.EnableFlood(fl)
+	if s.Provenance != nil {
+		eng.EnableProvenance(s.Provenance)
 	}
-	if profiled {
+	if s.Tracer != nil {
+		eng.EnableTracing(s.Tracer)
+	}
+	if s.Flood != nil {
+		eng.EnableFlood(s.Flood)
+	}
+	if s.Profiled {
 		eng.EnableProfiling(prof.NewLabeler(eng.MaxShards()))
 		eng.EnableRuntimeMetrics(prof.NewRuntime(telemetry.New()))
 	}
-	if fan {
+	if s.Fanout {
 		hub := fanout.NewHub(fanout.Config{Ring: 1024})
 		defer hub.Close()
 		eng.EnableFanout(hub)
 	}
-	if history {
-		reg := telemetry.New()
-		eng.EnableTelemetry(reg, nil)
+	if s.History {
 		db := tsdb.New(tsdb.Config{})
 		db.RegisterMetrics(reg)
 		eng.EnableHistory(tsdb.NewSampler(db, reg))
@@ -282,7 +300,8 @@ func benchEngineTick(b *testing.B, rec *provenance.Recorder, tracer *span.Tracer
 	}
 	now := benchEpoch
 	// Built once; only the Time column is rewritten per round (IngestBatch
-	// copies the columns out, so the engine sees a fresh batch per tick).
+	// copies the columns out, so the engine sees a fresh batch per tick
+	// while the harness models a collector that reuses its buffer).
 	var batch alert.Batch
 	for j := range alerts {
 		batch.Append(&alerts[j])
@@ -301,6 +320,7 @@ func benchEngineTick(b *testing.B, rec *provenance.Recorder, tracer *span.Tracer
 		now = now.Add(10 * time.Second)
 		eng.Tick(now)
 	}
+	b.ReportMetric(float64(len(alerts)), "alerts/tick")
 }
 
 func benchPreprocessorStream(b *testing.B) {

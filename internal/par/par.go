@@ -52,50 +52,22 @@ func SetSpawnHook(fn func(worker int)) {
 // claimed from a shared counter so uneven task costs balance out. With
 // workers <= 1 or n <= 1 the calls run inline, in order, on the caller's
 // goroutine — the serial reference path the parallel one must match.
-func Do(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	hook := spawnHook.Load()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			if hook != nil {
-				(*hook)(worker)
-			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
+func Do(workers, n int, fn func(i int)) { DoTimed(workers, n, nil, fn) }
 
 // DoWorkers is Do with the claiming worker's index passed alongside the
 // task index — for fan-outs whose tasks share per-worker scratch buffers
 // (the locator's type-counting epoch arrays). Worker indexes are in
 // [0, workers); with workers <= 1 or n <= 1 every task runs inline, in
 // order, as worker 0.
-func DoWorkers(workers, n int, fn func(worker, task int)) {
+func DoWorkers(workers, n int, fn func(worker, task int)) { DoTimedWorkers(workers, n, nil, fn) }
+
+// DoTimed is Do with per-task timing: after each task completes, done is
+// called with the task index, the instant a worker picked it up, and how
+// long it ran. done is invoked on the worker's goroutine, concurrently
+// with other tasks' callbacks — callers pass callbacks that write only
+// task-owned state (a span tracer's pre-allocated shard slots). A nil
+// done is exactly Do: no clock reads, no extra work.
+func DoTimed(workers, n int, done func(i int, start time.Time, d time.Duration), fn func(i int)) {
 	if n <= 0 {
 		return
 	}
@@ -107,7 +79,7 @@ func DoWorkers(workers, n int, fn func(worker, task int)) {
 	}
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			runTimed(i, done, fn)
 		}
 		return
 	}
@@ -126,7 +98,7 @@ func DoWorkers(workers, n int, fn func(worker, task int)) {
 				if i >= n {
 					return
 				}
-				fn(worker, i)
+				runTimed(i, done, fn)
 			}
 		}(w)
 	}
@@ -136,31 +108,63 @@ func DoWorkers(workers, n int, fn func(worker, task int)) {
 // DoTimedWorkers is DoWorkers with DoTimed's per-task timing callback.
 // A nil done is exactly DoWorkers.
 func DoTimedWorkers(workers, n int, done func(i int, start time.Time, d time.Duration), fn func(worker, task int)) {
-	if done == nil {
-		DoWorkers(workers, n, fn)
+	if n <= 0 {
 		return
 	}
-	DoWorkers(workers, n, func(worker, task int) {
-		start := time.Now()
-		fn(worker, task)
-		done(task, start, time.Since(start))
-	})
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			runTimedWorker(0, i, done, fn)
+		}
+		return
+	}
+	hook := spawnHook.Load()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(worker int) {
+			defer wg.Done()
+			if hook != nil {
+				(*hook)(worker)
+			}
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				runTimedWorker(worker, i, done, fn)
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
-// DoTimed is Do with per-task timing: after each task completes, done is
-// called with the task index, the instant a worker picked it up, and how
-// long it ran. done is invoked on the worker's goroutine, concurrently
-// with other tasks' callbacks — callers pass callbacks that write only
-// task-owned state (a span tracer's pre-allocated shard slots). A nil
-// done is exactly Do: no clock reads, no extra work.
-func DoTimed(workers, n int, done func(i int, start time.Time, d time.Duration), fn func(i int)) {
+// runTimed runs task i, reporting its timing to done when non-nil. The
+// timing is inline in the worker loop rather than a wrapping closure, so
+// a timed fan-out allocates no more than an untimed one.
+func runTimed(i int, done func(int, time.Time, time.Duration), fn func(int)) {
 	if done == nil {
-		Do(workers, n, fn)
+		fn(i)
 		return
 	}
-	Do(workers, n, func(i int) {
-		start := time.Now()
-		fn(i)
-		done(i, start, time.Since(start))
-	})
+	start := time.Now()
+	fn(i)
+	done(i, start, time.Since(start))
+}
+
+// runTimedWorker is runTimed for DoTimedWorkers.
+func runTimedWorker(worker, i int, done func(int, time.Time, time.Duration), fn func(int, int)) {
+	if done == nil {
+		fn(worker, i)
+		return
+	}
+	start := time.Now()
+	fn(worker, i)
+	done(i, start, time.Since(start))
 }

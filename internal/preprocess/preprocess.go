@@ -40,7 +40,6 @@ import (
 	"skynet/internal/hierarchy"
 	"skynet/internal/intern"
 	"skynet/internal/par"
-	"skynet/internal/prof"
 	"skynet/internal/provenance"
 	"skynet/internal/span"
 	"skynet/internal/topology"
@@ -214,13 +213,9 @@ type Preprocessor struct {
 	// branch off the hot path.
 	prov *provenance.Recorder
 
-	// spans is the tracing context of the current engine tick; the zero
-	// Scope (tracing off) makes every span call a no-op.
+	// spans is the instrumentation context of the current engine tick;
+	// the zero Scope (instrumentation off) makes every span call a no-op.
 	spans span.Scope
-
-	// profL labels the classify/consolidate fan-outs with their pprof
-	// stage; nil (profiling off) makes every call a nil-receiver no-op.
-	profL *prof.Labeler
 
 	shards []preShard
 
@@ -303,11 +298,6 @@ func (p *Preprocessor) EnableProvenance(rec *provenance.Recorder) { p.prov = rec
 // parent span. The engine refreshes it every tick; it never affects what
 // the preprocessor emits.
 func (p *Preprocessor) SetSpans(sc span.Scope) { p.spans = sc }
-
-// SetProf installs the pprof stage labeler; the classify and consolidate
-// fan-outs then run under their stage (and shard) labels. Never affects
-// what the preprocessor emits.
-func (p *Preprocessor) SetProf(l *prof.Labeler) { p.profL = l }
 
 // PendingDepth reports the number of raw alerts buffered since the last
 // Tick — the preprocessor's queue depth.
@@ -404,8 +394,7 @@ func (p *Preprocessor) absorb() {
 	// cannot reorder or race anything.
 	chunkSize := (n + p.workers - 1) / p.workers
 	nchunks := (n + chunkSize - 1) / chunkSize
-	cf := p.spans.Fork("classify", nchunks)
-	p.profL.Enter(prof.StageClassify)
+	cf := p.spans.Fork(span.StageClassify, nchunks)
 	par.DoTimed(p.workers, nchunks, cf.Timer(), func(c int) {
 		lo, hi := c*chunkSize, (c+1)*chunkSize
 		if hi > n {
@@ -421,7 +410,6 @@ func (p *Preprocessor) absorb() {
 			p.prepareRow(i, &p.prep[i], scratch)
 		}
 	})
-	p.profL.Exit()
 	// Serial pass: intern IDs into the batch's dense-ID columns
 	// (single-writer tables), route to shards, record corroboration
 	// evidence (max observation time per location), resolve phase-A
@@ -474,8 +462,7 @@ func (p *Preprocessor) absorb() {
 	// aggregate sees its observations in arrival order — exactly the
 	// serial semantics. Merges read only the scalar columns; a full
 	// Alert is materialized once per new aggregate, not per row.
-	sf := p.spans.Fork("consolidate", nshards)
-	p.profL.Enter(prof.StageConsolidate)
+	sf := p.spans.Fork(span.StageConsolidate, nshards)
 	par.DoTimed(p.workers, nshards, sf.Timer(), func(s int) {
 		shard := &p.shards[s]
 		shard.dedup, shard.routed = 0, 0
@@ -498,7 +485,6 @@ func (p *Preprocessor) absorb() {
 			shard.keys = mergeSortedAggs(shard.keys, shard.newAggs)
 		}
 	})
-	p.profL.Exit()
 	for s := range p.shards {
 		p.stats.Deduplicated += p.shards[s].dedup
 		if len(p.shards[s].provAbsorbed) > 0 {
@@ -626,7 +612,7 @@ func (p *Preprocessor) Tick(now time.Time) []alert.Alert {
 	// Sweep aggregates in one global lessAggKey order (a k-way merge of
 	// the shards' sorted key lists) so emission order, assigned IDs, and
 	// the related-surge decisions are identical for every worker count.
-	swR := p.spans.Begin("sweep")
+	swR := p.spans.Begin(span.StageSweep)
 	p.emitBuf = p.emitBuf[:0]
 	p.sweep(now, func(shard *preShard, g *aggregate) {
 		if now.Sub(g.lastSeen) > p.cfg.AggWindow {

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"skynet/internal/span"
 	"skynet/internal/telemetry"
 )
 
@@ -135,10 +136,10 @@ func NewCollector(cfg CollectorConfig) *Collector {
 			"Profile windows that failed to capture (e.g. a competing CPU profile).")
 		c.windowCPU = reg.Gauge("skynet_prof_window_cpu_seconds",
 			"CPU seconds sampled in the most recent profile window.")
-		c.stageGauges = make(map[string]*telemetry.Gauge, int(numStages)+1)
-		for _, name := range StageNames() {
-			c.stageGauges[name] = reg.GaugeWith("skynet_prof_stage_cpu_fraction",
-				telemetry.Label(LabelStage, name),
+		c.stageGauges = make(map[string]*telemetry.Gauge, int(span.NumStages)+1)
+		for s := span.Stage(0); s < span.NumStages; s++ {
+			c.stageGauges[s.String()] = reg.GaugeWith("skynet_prof_stage_cpu_fraction",
+				telemetry.Label(LabelStage, s.String()),
 				"Fraction of sampled CPU attributed to each pipeline stage in the most recent profile window.")
 		}
 		c.stageGauges[otherStage] = reg.GaugeWith("skynet_prof_stage_cpu_fraction",

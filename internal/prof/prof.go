@@ -5,20 +5,22 @@
 // runtime/metrics sampler that feeds Go-runtime health (GC pauses, heap,
 // scheduler latency) into the telemetry registry and tick-indexed TSDB.
 //
-// Label taxonomy (DESIGN.md §11): every profiled fan-out runs under a
-// `stage` label naming the pipeline stage (classify, consolidate,
-// locator_addbatch, locator_expire, refine_score, sop); worker goroutines
-// additionally carry a `shard` label with their worker index; and while a
-// flood episode is open every stage context also carries an `episode`
-// label with the episode ID, so a CPU profile captured mid-flood can be
-// sliced to exactly the work that flood caused.
+// Label taxonomy (DESIGN.md §11): the `stage` label is the span.Stage
+// of the span open on the goroutine — the labeler has no vocabulary of
+// its own. Worker goroutines of a span fork additionally carry a
+// `shard` label with their worker index; and while a flood episode is
+// open every stage context also carries an `episode` label with the
+// episode ID, so a CPU profile captured mid-flood can be sliced to
+// exactly the work that flood caused.
 //
-// The labeler is built for the tick hot path: every label context is
-// precomputed (rebuilt only on the rare episode open/close), so entering
-// a stage is one atomic store plus one pprof.SetGoroutineLabels call —
+// The labeler is the span.Labeler the engine hands to each tick's span
+// tree, so labels follow span boundaries with no call sites of their
+// own. It is built for the tick hot path: every label context is
+// precomputed (rebuilt only on the rare episode open/close), so a stage
+// boundary is one atomic store plus one pprof.SetGoroutineLabels call —
 // no allocation, no map construction. Worker goroutines inherit the
 // spawning goroutine's label set automatically; a par spawn hook refines
-// them with the worker's shard index.
+// them with the published fork stage and the worker's shard index.
 package prof
 
 import (
@@ -29,44 +31,8 @@ import (
 	"sync/atomic"
 
 	"skynet/internal/par"
+	"skynet/internal/span"
 )
-
-// Stage identifies one profiled pipeline stage. Values index the
-// labeler's precomputed context table — keep stageNames in sync.
-type Stage uint8
-
-// The profiled pipeline stages, in pipeline order.
-const (
-	StageClassify      Stage = iota // preprocess phase A: parallel FT-tree classification
-	StageConsolidate                // preprocess phase B: per-shard consolidation
-	StageLocatorAdd                 // locator AddBatch upserts
-	StageLocatorExpire              // locator parallel expiry sweep
-	StageRefineScore                // evaluator dirty-incident refine + score fan-out
-	StageSOP                        // per-incident SOP action loop
-	numStages
-)
-
-var stageNames = [numStages]string{
-	"classify", "consolidate", "locator_addbatch",
-	"locator_expire", "refine_score", "sop",
-}
-
-// String returns the stage's label value.
-func (s Stage) String() string {
-	if s < numStages {
-		return stageNames[s]
-	}
-	return "unknown"
-}
-
-// StageNames returns the stage label values in Stage order — the stable
-// vocabulary shared by the collector's telemetry, /api/profile, and
-// skynet-top.
-func StageNames() []string {
-	out := make([]string, numStages)
-	copy(out, stageNames[:])
-	return out
-}
 
 // Label keys attached to profiled goroutines.
 const (
@@ -83,17 +49,17 @@ type stageCtx struct {
 	shards []context.Context
 }
 
-// active publishes the stage the engine goroutine is currently inside so
-// the par spawn hook can refine freshly spawned workers with their shard
-// label. Package-global because par's hook is: the engine runs one
-// profiled pipeline at a time (the labeler's documented contract).
+// active publishes the stage whose workers the next par fan-out spawns
+// (the open span's stage, or a fork's) so the par spawn hook can label
+// freshly spawned workers with it and their shard. Package-global
+// because par's hook is: the engine runs one profiled pipeline at a time
+// (the labeler's documented contract).
 var active atomic.Pointer[stageCtx]
 
 var hookOnce sync.Once
 
 // labelWorker is the par spawn hook: stamp the worker goroutine with the
-// active stage's shard-refined label context. Workers already inherited
-// the stage (and episode) labels at spawn; this only adds the shard.
+// published stage's shard-refined label context.
 func labelWorker(worker int) {
 	sc := active.Load()
 	if sc == nil {
@@ -107,17 +73,17 @@ func labelWorker(worker int) {
 }
 
 // Labeler owns the precomputed pprof label contexts for one engine's
-// pipeline. All methods are called from the engine goroutine only; at
-// most one labeler should be active per process (the par spawn hook and
-// the `active` publication point are package-global).
+// pipeline, one per span.Stage. It implements span.Labeler; all methods
+// are called from the engine goroutine only, and at most one labeler
+// should be active per process (the par spawn hook and the `active`
+// publication point are package-global).
 //
-// Every method is nil-receiver safe, so callers hold an optional
-// *Labeler field and invoke it unconditionally.
+// Every method is nil-receiver safe.
 type Labeler struct {
 	maxShards int
 	episode   uint64
 	base      context.Context
-	stages    [numStages]stageCtx
+	stages    [span.NumStages]stageCtx
 }
 
 // NewLabeler builds a labeler with shard contexts for worker indexes
@@ -144,8 +110,8 @@ func (l *Labeler) rebuild() {
 			pprof.Labels(LabelEpisode, strconv.FormatUint(l.episode, 10)))
 	}
 	l.base = base
-	for s := Stage(0); s < numStages; s++ {
-		ctx := pprof.WithLabels(base, pprof.Labels(LabelStage, stageNames[s]))
+	for s := span.Stage(0); s < span.NumStages; s++ {
+		ctx := pprof.WithLabels(base, pprof.Labels(LabelStage, s.String()))
 		shards := make([]context.Context, l.maxShards)
 		for w := range shards {
 			shards[w] = pprof.WithLabels(ctx, pprof.Labels(LabelShard, strconv.Itoa(w)))
@@ -165,9 +131,9 @@ func (l *Labeler) SetEpisode(id uint64) {
 	l.rebuild()
 }
 
-// Enter marks the calling goroutine (and, via the spawn hook, any worker
-// goroutines forked while inside) as running stage s.
-func (l *Labeler) Enter(s Stage) {
+// SetStage labels the calling goroutine (and, via the spawn hook, any
+// worker goroutines it forks) as running stage s.
+func (l *Labeler) SetStage(s span.Stage) {
 	if l == nil {
 		return
 	}
@@ -176,9 +142,18 @@ func (l *Labeler) Enter(s Stage) {
 	pprof.SetGoroutineLabels(sc.ctx)
 }
 
-// Exit clears the stage label, restoring the base (episode-only) label
-// set on the calling goroutine.
-func (l *Labeler) Exit() {
+// SetFork publishes stage s for the workers the next par fan-out spawns,
+// leaving the calling goroutine's labels unchanged.
+func (l *Labeler) SetFork(s span.Stage) {
+	if l == nil {
+		return
+	}
+	active.Store(&l.stages[s])
+}
+
+// Clear restores the base (episode-only) label set on the calling
+// goroutine and withdraws the published stage.
+func (l *Labeler) Clear() {
 	if l == nil {
 		return
 	}

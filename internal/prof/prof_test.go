@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"skynet/internal/par"
+	"skynet/internal/span"
+	"skynet/internal/telemetry"
 )
 
 // goroutineProfile captures the live goroutine profile (debug=0 proto
@@ -77,8 +79,8 @@ func shardSet(p *Profile, stage string) map[string]bool {
 func TestStageLabelsSurviveParDo(t *testing.T) {
 	defer clearLabels()
 	l := NewLabeler(4)
-	l.Enter(StageClassify)
-	defer l.Exit()
+	l.SetStage(span.StageClassify)
+	defer l.Clear()
 
 	p := captureUnderFanOut(t, 4, func(n int, task func(i int)) {
 		par.Do(4, n, task)
@@ -93,12 +95,13 @@ func TestStageLabelsSurviveParDo(t *testing.T) {
 
 // TestStageLabelsSurviveParDoTimed repeats the propagation check through
 // the timed fork variant (the spans-instrumented path the preprocessor
-// and evaluator actually use).
+// and evaluator actually use), with the stage published by SetFork
+// alone, as span.Scope.Fork does.
 func TestStageLabelsSurviveParDoTimed(t *testing.T) {
 	defer clearLabels()
 	l := NewLabeler(4)
-	l.Enter(StageRefineScore)
-	defer l.Exit()
+	l.SetFork(span.StageRefineScore)
+	defer l.Clear()
 
 	var timed atomic.Int32
 	done := func(i int, start time.Time, d time.Duration) { timed.Add(1) }
@@ -124,12 +127,12 @@ func TestEpisodeLabelTagsWorkers(t *testing.T) {
 	defer clearLabels()
 	l := NewLabeler(2)
 	l.SetEpisode(42)
-	l.Enter(StageConsolidate)
+	l.SetStage(span.StageConsolidate)
 
 	p := captureUnderFanOut(t, 2, func(n int, task func(i int)) {
 		par.Do(2, n, task)
 	})
-	l.Exit()
+	l.Clear()
 
 	found := false
 	for _, s := range p.Samples {
@@ -143,9 +146,9 @@ func TestEpisodeLabelTagsWorkers(t *testing.T) {
 	}
 
 	l.SetEpisode(0)
-	l.Enter(StageConsolidate)
+	l.SetStage(span.StageConsolidate)
 	p = goroutineProfile(t)
-	l.Exit()
+	l.Clear()
 	for _, s := range p.Samples {
 		if s.Labels[LabelEpisode] == "42" {
 			t.Error("episode=42 label survived SetEpisode(0)")
@@ -158,31 +161,34 @@ func TestEpisodeLabelTagsWorkers(t *testing.T) {
 // unconditionally.
 func TestLabelerNilSafe(t *testing.T) {
 	var l *Labeler
-	l.Enter(StageSOP)
-	l.Exit()
+	l.SetStage(span.StageSOP)
+	l.SetFork(span.StageExpire)
+	l.Clear()
 	l.SetEpisode(7)
 }
 
 // TestStageNames pins the label vocabulary shared by the collector's
-// telemetry, /api/profile, and skynet-top.
+// telemetry, /api/profile, and skynet-top: it is exactly the span stage
+// table, plus the unlabeled "other" bucket.
 func TestStageNames(t *testing.T) {
-	want := []string{
-		"classify", "consolidate", "locator_addbatch",
-		"locator_expire", "refine_score", "sop",
+	reg := telemetry.New()
+	NewCollector(CollectorConfig{Registry: reg})
+	got := map[string]bool{}
+	for _, m := range reg.Snapshot() {
+		if m.Name == "skynet_prof_stage_cpu_fraction" {
+			got[m.Labels] = true
+		}
 	}
-	got := StageNames()
+	want := []string{`stage="other"`}
+	for s := span.Stage(0); s < span.NumStages; s++ {
+		want = append(want, `stage="`+s.String()+`"`)
+	}
+	for _, w := range want {
+		if !got[w] {
+			t.Errorf("no skynet_prof_stage_cpu_fraction{%s} gauge (have %v)", w, got)
+		}
+	}
 	if len(got) != len(want) {
-		t.Fatalf("StageNames() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("stage %d = %q, want %q", i, got[i], want[i])
-		}
-		if Stage(i).String() != want[i] {
-			t.Errorf("Stage(%d).String() = %q, want %q", i, Stage(i).String(), want[i])
-		}
-	}
-	if Stage(250).String() != "unknown" {
-		t.Errorf("out-of-range stage stringified as %q", Stage(250).String())
+		t.Errorf("stage gauges = %v, want exactly %v", got, want)
 	}
 }

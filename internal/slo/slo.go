@@ -7,9 +7,10 @@
 // thresholds — the fast window for reaction time, the slow one to
 // suppress one-tick blips.
 //
-// This replaces the flight recorder's single-window tick-p99 self-SLO:
-// the recorder now consumes burn events (its slo_burn trigger), and the
-// core engine's self-monitoring loop converts them into synthetic
+// This is SkyNet's one watchdog. The flight recorder judges nothing
+// itself: it dumps evidence on burn events (its slo_burn trigger) and
+// reports health as degraded exactly while a rule fires, and the core
+// engine's self-monitoring loop converts burns into synthetic
 // meta/skynetd alerts injected through SkyNet's own ingest path.
 //
 // Like the store it reads, the engine is deterministic: burn state is a
@@ -19,6 +20,7 @@ package slo
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,6 +136,22 @@ func DefaultRules(tickP99 time.Duration) []Rule {
 			Target: DefaultGCPauseTarget.Seconds(),
 		},
 		{
+			// Queue high water: the dispatch queue at or above 90% of its
+			// capacity is one step from shedding. The tight windows of
+			// lineage-conservation make a single tick at high water fire
+			// at once; the target is the largest float below 0.9 so the
+			// strict "value > target" predicate means load >= 90%.
+			Name:       "ingest-queue-high",
+			Metric:     "skynet_ingest_queue_load",
+			Help:       "The ingest dispatch queue must stay below 90% of its capacity.",
+			Target:     math.Nextafter(0.9, 0),
+			Budget:     0.005,
+			FastWindow: 4,
+			SlowWindow: 32,
+			FastBurn:   50,
+			SlowBurn:   6,
+		},
+		{
 			// Conservation must never go negative; tight windows make a
 			// single violating tick fire immediately.
 			Name:       "lineage-conservation",
@@ -215,7 +233,6 @@ type Engine struct {
 
 	eventsTotal atomic.Int64
 	firingNow   atomic.Int64
-	lastDetail  atomic.Value // string
 
 	notify func(Event)
 }
@@ -236,7 +253,6 @@ func New(db *tsdb.DB, rules []Rule) *Engine {
 		e.status[i] = RuleStatus{Rule: rs.rule}
 	}
 	e.vbuf = make([]Verdict, 0, len(e.rules))
-	e.lastDetail.Store("")
 	return e
 }
 
@@ -368,7 +384,6 @@ func (e *Engine) publish(pending []Event) {
 	e.firingNow.Store(firing)
 	for _, ev := range pending {
 		e.eventsTotal.Add(1)
-		e.lastDetail.Store(ev.Detail)
 		if e.notify != nil {
 			e.notify(ev)
 		}
@@ -394,18 +409,11 @@ func (e *Engine) Events() []Event {
 	return out
 }
 
-// EventCount reports burn-state edges since start — the flight
-// recorder's slo_burn trigger source. Lock-free.
+// EventCount reports burn-state edges since start. Lock-free.
 func (e *Engine) EventCount() int64 { return e.eventsTotal.Load() }
 
 // FiringCount reports how many rules are currently firing. Lock-free.
 func (e *Engine) FiringCount() int64 { return e.firingNow.Load() }
-
-// LastDetail describes the most recent burn event. Lock-free.
-func (e *Engine) LastDetail() string {
-	s, _ := e.lastDetail.Load().(string)
-	return s
-}
 
 // RegisterMetrics publishes burn-state gauges. Callbacks read atomics
 // only, so the history sampler may sample them while holding the store

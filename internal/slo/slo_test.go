@@ -3,6 +3,7 @@ package slo
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"skynet/internal/tsdb"
 )
@@ -167,7 +168,7 @@ func TestMissingSeriesIsBenign(t *testing.T) {
 }
 
 // TestNotifyAndDetail pins the event plumbing: SetNotify sees every edge
-// in order and LastDetail tracks the newest one.
+// in order, with the details the event log records.
 func TestNotifyAndDetail(t *testing.T) {
 	h := newHarness(Rule{Name: "lat", Metric: "m", Target: 1,
 		Budget: 1, FastWindow: 1, SlowWindow: 1, FastBurn: 1, SlowBurn: 1})
@@ -179,8 +180,8 @@ func TestNotifyAndDetail(t *testing.T) {
 	if len(got) != 2 || !got[0].Firing || got[1].Firing {
 		t.Fatalf("notify saw %+v", got)
 	}
-	if h.eng.LastDetail() != got[1].Detail {
-		t.Fatalf("LastDetail %q, want %q", h.eng.LastDetail(), got[1].Detail)
+	if log := h.eng.Events(); len(log) != 2 || log[1].Detail != got[1].Detail {
+		t.Fatalf("event log %+v, want the notified edges %+v", log, got)
 	}
 }
 
@@ -198,5 +199,39 @@ func TestRuleValidation(t *testing.T) {
 	}
 	if r.Budget != DefaultBudget || r.FastBurn != DefaultFastBurn || r.SlowBurn != DefaultSlowBurn {
 		t.Fatalf("defaults not applied: %+v", r)
+	}
+}
+
+// TestIngestQueueHighFiresOnFirstTick pins the default queue high-water
+// rule: the first tick at or above 90% of queue capacity fires at once,
+// a tick just below it stays quiet, and the rule resolves once the
+// fast window drains.
+func TestIngestQueueHighFiresOnFirstTick(t *testing.T) {
+	var rule Rule
+	for _, r := range DefaultRules(time.Second) {
+		if r.Name == "ingest-queue-high" {
+			rule = r
+		}
+	}
+	if rule.Metric != "skynet_ingest_queue_load" {
+		t.Fatalf("ingest-queue-high rule = %+v, want one over skynet_ingest_queue_load", rule)
+	}
+	h := newHarness(rule)
+	if v := h.feed(t, 0, float64(9)/10); !v.Firing || !v.Started {
+		t.Fatalf("first tick at 90%% load did not fire: %+v", v)
+	}
+
+	h = newHarness(rule)
+	if v := h.feed(t, 0, 0.89); v.Firing {
+		t.Fatalf("tick at 89%% load fired: %+v", v)
+	}
+	if v := h.feed(t, 1, float64(7373)/8192); !v.Firing || !v.Started {
+		t.Fatalf("first tick above 90%% load did not fire: %+v", v)
+	}
+	for tick := uint64(2); tick < 6; tick++ {
+		h.feed(t, tick, 0)
+	}
+	if st := h.eng.Status()[0]; st.Firing {
+		t.Fatalf("rule still firing after the fast window drained: %+v", st)
 	}
 }

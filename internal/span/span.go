@@ -20,6 +20,14 @@
 //     ring evictions so `skynet-replay -spans` can render the worst
 //     tick of an arbitrarily long run.
 //
+// The span tree is the pipeline's single instrumentation spine. Every
+// stage boundary is one Begin/End (or Fork) on the tick's Active, named
+// by one Stage from the table below; everything else is a read-out of
+// that one call: the tracer's ring and stage stats, the per-stage and
+// per-span histograms the engine derives from the finished tree, and
+// the pprof `stage` label, which the Active sets through its Labeler as
+// spans open and close.
+//
 // The Tracer is the retention side (ring, slowest, stage stats); Active
 // is the single-tick builder the engine drives; Scope threads a (trace,
 // parent) pair into pipeline stages so their internal phases appear as
@@ -34,6 +42,63 @@ import (
 	"sync"
 	"time"
 )
+
+// Stage names one node of the pipeline's stage taxonomy. Its name is
+// the span name, the pprof `stage` label value, and the suffix of the
+// skynet_span_<name>_seconds histogram.
+type Stage uint8
+
+// The stage taxonomy, in tree order. Fork stages (parallel shard
+// groups) are marked; every other stage is a serial span.
+const (
+	StageTick        Stage = iota // root: one engine tick
+	StagePreprocess               // tick › preprocess
+	StageClassify                 // preprocess › classify (fork)
+	StageConsolidate              // preprocess › consolidate (fork)
+	StageSweep                    // preprocess › sweep
+	StageLocate                   // tick › locate
+	StageAddBatch                 // locate › addbatch
+	StageAddBatchFan              // addbatch › addbatch_fan (fork)
+	StageCheck                    // locate › check
+	StageExpire                   // check › expire (fork)
+	StageComponents               // check › components
+	StageCompCount                // check › compcount (fork)
+	StageEvaluate                 // tick › evaluate
+	StageRefineScore              // evaluate › refine_score (fork)
+	StageSOP                      // tick › sop
+	NumStages
+)
+
+var stageNames = [NumStages]string{
+	"tick", "preprocess", "classify", "consolidate", "sweep",
+	"locate", "addbatch", "addbatch_fan", "check", "expire", "components", "compcount",
+	"evaluate", "refine_score", "sop",
+}
+
+// String returns the stage's name.
+func (s Stage) String() string {
+	if s < NumStages {
+		return stageNames[s]
+	}
+	return "unknown"
+}
+
+// Labeler is the profiling side of the stage hook: an Active calls it
+// at every stage boundary so CPU samples carry the stage of the span
+// open when they were taken. prof.Labeler implements it.
+type Labeler interface {
+	// SetStage labels the calling goroutine with stage s and publishes
+	// s for workers spawned under it.
+	SetStage(s Stage)
+	// SetFork publishes s for the workers of the fan-out about to
+	// start; each worker adds its shard label. The caller's own label
+	// is unchanged.
+	SetFork(s Stage)
+	// SetEpisode tags every stage label with a flood episode (0 clears).
+	SetEpisode(id uint64)
+	// Clear drops the stage label from the calling goroutine.
+	Clear()
+}
 
 // Region identifies one span within an Active trace. The zero value is
 // the root; None marks "no span" (returned by no-op calls when tracing
@@ -50,8 +115,10 @@ const None Region = -1
 // from the owning Trace's Start so a dumped ring stays meaningful
 // without absolute clocks.
 type Span struct {
-	// Name labels the stage or phase ("preprocess", "classify", ...).
+	// Name is Stage's name ("preprocess", "classify", ...).
 	Name string `json:"name"`
+	// Stage is the span's node in the stage taxonomy.
+	Stage Stage `json:"-"`
 	// Shard is the task index within a parallel fork, or -1 for serial
 	// spans. For forks that mix task kinds (the locator's incident+shard
 	// fan-out) it is the raw task id; the fork's name says how to read it.
@@ -133,20 +200,47 @@ func NewTracer(ringCap int) *Tracer {
 	return &Tracer{ring: make([]Trace, ringCap), stages: make(map[string]*StageStat)}
 }
 
-// StartTick opens the span tree for one tick. A nil tracer returns a nil
-// *Active, on which every method is a no-op — instrumentation sites need
-// no guards. The caller must Finish the returned trace before starting
-// the next one.
-func (t *Tracer) StartTick(tick uint64, now time.Time) *Active {
-	if t == nil {
-		return nil
-	}
-	a := &Active{tr: t}
-	a.t.Tick = tick
-	a.t.Time = now
-	a.t.Start = time.Now()
-	a.t.Spans = append(a.t.Spans, Span{Name: "tick", Shard: -1, Parent: -1})
+// NewActive returns a span-tree builder that serves every tick of one
+// pipeline. tr, when non-nil, retains each finished trace in its ring;
+// lab, when non-nil, follows the tree with pprof stage labels. timed
+// says whether anything reads the finished tree's durations (a tracer
+// always does); an untimed Active reads no clock and its forks time no
+// tasks, so a labeler-only tree costs just its label switches.
+// Instrumentation sites hold a possibly-nil *Active: every method is a
+// no-op on nil.
+func NewActive(tr *Tracer, lab Labeler, timed bool) *Active {
+	return &Active{tr: tr, lab: lab, timed: timed || tr != nil}
+}
+
+// Start is NewActive(tr, lab, true) with its first tick started.
+func Start(tr *Tracer, lab Labeler, tick uint64, now time.Time) *Active {
+	a := NewActive(tr, lab, true)
+	a.Start(tick, now)
 	return a
+}
+
+// Start opens the span tree for one tick, reusing the span and fork
+// storage of the previous one, so a steady-state tick allocates nothing.
+// The previous tick must be finished, and the trace its Finish returned
+// is overwritten.
+func (a *Active) Start(tick uint64, now time.Time) {
+	a.t = Trace{Tick: tick, Time: now, Spans: a.t.Spans[:0]}
+	if a.timed {
+		a.t.Start = time.Now()
+	}
+	a.t.Spans = append(a.t.Spans, Span{Name: StageTick.String(), Stage: StageTick, Shard: -1, Parent: -1})
+	a.nfork = 0
+	if a.lab != nil {
+		a.lab.SetStage(StageTick)
+	}
+}
+
+// since is the offset from the tick's start, or 0 when untimed.
+func (a *Active) since() time.Duration {
+	if !a.timed {
+		return 0
+	}
+	return time.Since(a.t.Start)
 }
 
 // TickCount reports how many traces have been finished over the
@@ -203,7 +297,11 @@ func (t *Tracer) StageStats() []StageStat {
 }
 
 // finish retires one completed trace into the ring and the aggregates.
-func (t *Tracer) finish(tr Trace) {
+// tr's spans belong to the Active, which reuses them next tick, so the
+// ring keeps an exact-size copy; the slowest trace shares it (ring slots
+// are replaced on eviction, never written in place).
+func (t *Tracer) finish(tr *Trace) {
+	cp := copyTrace(*tr)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.total++
@@ -211,15 +309,14 @@ func (t *Tracer) finish(tr Trace) {
 		t.start = (t.start + 1) % len(t.ring)
 		t.n--
 	}
-	t.ring[(t.start+t.n)%len(t.ring)] = tr
+	t.ring[(t.start+t.n)%len(t.ring)] = cp
 	t.n++
-	if !t.hasSlow || tr.Dur > t.slowest.Dur {
-		// Copy: the ring slot may be overwritten in place on wraparound.
-		t.slowest = copyTrace(tr)
+	if !t.hasSlow || cp.Dur > t.slowest.Dur {
+		t.slowest = cp
 		t.hasSlow = true
 	}
-	for i := range tr.Spans {
-		sp := &tr.Spans[i]
+	for i := range cp.Spans {
+		sp := &cp.Spans[i]
 		st, ok := t.stages[sp.Name]
 		if !ok {
 			st = &StageStat{Name: sp.Name}
@@ -245,43 +342,59 @@ func copyTrace(tr Trace) Trace {
 // goroutine (shard slots inside a Fork are written by workers, but the
 // slice itself only grows between forks).
 type Active struct {
-	tr *Tracer
-	t  Trace
+	tr    *Tracer
+	lab   Labeler
+	timed bool
+	t     Trace
+	forks []*Fork // fork groups, reused across ticks; the first nfork are this tick's
+	nfork int
 }
 
-// Begin opens a child span under parent and returns its region.
-func (a *Active) Begin(parent Region, name string) Region {
+// Begin opens a child span of stage s under parent and returns its
+// region. The calling goroutine runs under s's pprof label until End.
+func (a *Active) Begin(parent Region, s Stage) Region {
 	if a == nil {
 		return None
 	}
 	r := Region(len(a.t.Spans))
 	a.t.Spans = append(a.t.Spans, Span{
-		Name:   name,
+		Name:   s.String(),
+		Stage:  s,
 		Shard:  -1,
 		Parent: int32(parent),
-		Start:  time.Since(a.t.Start),
+		Start:  a.since(),
 	})
+	if a.lab != nil {
+		a.lab.SetStage(s)
+	}
 	return r
 }
 
 // End seals a span opened by Begin, recording its duration and item
-// count. Ending None is a no-op.
+// count, and restores the parent stage's pprof label. Ending None is a
+// no-op.
 func (a *Active) End(r Region, items int) {
-	if a == nil || r <= None || int(r) >= len(a.t.Spans) {
+	if a == nil || r <= Root || int(r) >= len(a.t.Spans) {
 		return
 	}
 	sp := &a.t.Spans[r]
-	sp.Dur = time.Since(a.t.Start) - sp.Start
+	sp.Dur = a.since() - sp.Start
 	sp.Items = items
+	if a.lab != nil {
+		a.lab.SetStage(a.t.Spans[sp.Parent].Stage)
+	}
 }
 
-// SetEpisode tags the in-flight trace with a flood episode ID (0 for
-// none). Nil-safe, like every Active method.
+// SetEpisode tags the in-flight trace and the pprof labels with a
+// flood episode ID (0 for none).
 func (a *Active) SetEpisode(id uint64) {
 	if a == nil {
 		return
 	}
 	a.t.Episode = id
+	if a.lab != nil {
+		a.lab.SetEpisode(id)
+	}
 }
 
 // Scope packages this trace with a parent region for handing to a
@@ -293,16 +406,22 @@ func (a *Active) Scope(parent Region) Scope {
 	return Scope{a: a, parent: parent}
 }
 
-// Finish seals the root span, retires the trace into the tracer, and
-// returns the finished trace (nil when tracing is off). The Active must
-// not be used afterwards.
+// Finish seals the root span, clears the stage label, retires the
+// trace into the tracer (when one is attached), and returns the
+// finished trace (nil on a nil Active). The trace is valid until the
+// Active's next Start.
 func (a *Active) Finish() *Trace {
 	if a == nil {
 		return nil
 	}
-	a.t.Dur = time.Since(a.t.Start)
+	a.t.Dur = a.since()
 	a.t.Spans[0].Dur = a.t.Dur
-	a.tr.finish(a.t)
+	if a.lab != nil {
+		a.lab.Clear()
+	}
+	if a.tr != nil {
+		a.tr.finish(&a.t)
+	}
 	return &a.t
 }
 
@@ -317,34 +436,50 @@ type Scope struct {
 // Enabled reports whether the scope records anything.
 func (s Scope) Enabled() bool { return s.a != nil }
 
-// Begin opens a child span under the scope's parent.
-func (s Scope) Begin(name string) Region {
+// Begin opens a child span of stage st under the scope's parent.
+func (s Scope) Begin(st Stage) Region {
 	if s.a == nil {
 		return None
 	}
-	return s.a.Begin(s.parent, name)
+	return s.a.Begin(s.parent, st)
 }
 
 // End seals a span opened by this scope's Begin.
 func (s Scope) End(r Region, items int) { s.a.End(r, items) }
 
-// Fork pre-allocates n shard spans under the scope's parent, one per
-// task of an imminent par fan-out, and returns the group. Returns nil
-// when the scope is inert; Fork.Timer on a nil group returns a nil
-// callback, which par.DoTimed treats as plain par.Do — so the composed
-// call site costs nothing when tracing is off.
-func (s Scope) Fork(name string, n int) *Fork {
-	if s.a == nil || n <= 0 {
+// Fork pre-allocates n shard spans of stage st under the scope's
+// parent, one per task of an imminent par fan-out, publishes st for the
+// fan-out's worker goroutines' pprof labels, and returns the group.
+// Returns nil when the scope is inert; Fork.Timer on a nil group (or on
+// an untimed Active's) returns a nil callback, which par.DoTimed treats
+// as plain par.Do — so the composed call site costs nothing when
+// instrumentation is off. A fan-out that runs inline (one worker) stays
+// under the enclosing span's label, matching the span tree's self time.
+func (s Scope) Fork(st Stage, n int) *Fork {
+	a := s.a
+	if a == nil || n <= 0 {
 		return nil
 	}
-	f := &Fork{a: s.a, base: int32(len(s.a.t.Spans)), n: n, start: time.Since(s.a.t.Start)}
+	if a.nfork == len(a.forks) {
+		f := &Fork{a: a}
+		f.timer = f.record // bound once, so Timer does not allocate
+		a.forks = append(a.forks, f)
+	}
+	f := a.forks[a.nfork]
+	a.nfork++
+	f.base, f.n, f.start = int32(len(a.t.Spans)), n, a.since()
+	name := st.String()
 	for i := 0; i < n; i++ {
-		s.a.t.Spans = append(s.a.t.Spans, Span{
+		a.t.Spans = append(a.t.Spans, Span{
 			Name:   name,
+			Stage:  st,
 			Shard:  i,
 			Parent: int32(s.parent),
 			Start:  f.start,
 		})
+	}
+	if a.lab != nil {
+		a.lab.SetFork(st)
 	}
 	return f
 }
@@ -357,15 +492,16 @@ type Fork struct {
 	base  int32
 	n     int
 	start time.Duration // fork-open offset, for queue-wait accounting
+	timer func(i int, start time.Time, d time.Duration)
 }
 
 // Timer returns the per-task completion callback for par.DoTimed, or
-// nil when the fork is disabled (nil receiver).
+// nil when the fork is disabled (nil receiver) or its tree is untimed.
 func (f *Fork) Timer() func(i int, start time.Time, d time.Duration) {
-	if f == nil {
+	if f == nil || !f.a.timed {
 		return nil
 	}
-	return f.record
+	return f.timer
 }
 
 // record fills task i's span slot. Called concurrently by par workers;

@@ -10,21 +10,18 @@ import (
 )
 
 func TestNilTracerIsInert(t *testing.T) {
-	var tr *Tracer
-	a := tr.StartTick(1, time.Now())
-	if a != nil {
-		t.Fatal("nil tracer must return nil Active")
-	}
-	r := a.Begin(Root, "stage")
+	var a *Active
+	r := a.Begin(Root, StageSweep)
 	if r != None {
 		t.Fatalf("Begin on nil Active = %d, want None", r)
 	}
 	a.End(r, 3) // must not panic
+	a.SetEpisode(4)
 	sc := a.Scope(Root)
 	if sc.Enabled() {
 		t.Fatal("scope of nil Active must be inert")
 	}
-	if f := sc.Fork("shards", 4); f != nil {
+	if f := sc.Fork(StageExpire, 4); f != nil {
 		t.Fatal("Fork on inert scope must be nil")
 	}
 	var f *Fork
@@ -34,17 +31,106 @@ func TestNilTracerIsInert(t *testing.T) {
 	if a.Finish() != nil {
 		t.Fatal("Finish on nil Active must return nil")
 	}
+	// Without a tracer the tree is still built for its derived views,
+	// just retained nowhere.
+	if fin := Start(nil, nil, 1, time.Now()).Finish(); fin == nil || len(fin.Spans) != 1 {
+		t.Fatalf("tracer-less Finish = %+v, want the one-span tree", fin)
+	}
+}
+
+// recLabeler records the label hook calls an Active makes.
+type recLabeler struct{ calls []string }
+
+func (l *recLabeler) SetStage(s Stage)     { l.calls = append(l.calls, "stage:"+s.String()) }
+func (l *recLabeler) SetFork(s Stage)      { l.calls = append(l.calls, "fork:"+s.String()) }
+func (l *recLabeler) SetEpisode(id uint64) { l.calls = append(l.calls, "episode") }
+func (l *recLabeler) Clear()               { l.calls = append(l.calls, "clear") }
+
+// TestActiveDrivesLabels pins the stage hook: entering a span labels
+// its stage, ending it restores the parent's, a fork publishes its
+// stage for workers, and Finish clears the label.
+func TestActiveDrivesLabels(t *testing.T) {
+	lab := &recLabeler{}
+	a := Start(nil, lab, 1, time.Now())
+	loc := a.Begin(Root, StageLocate)
+	ck := a.Begin(loc, StageCheck)
+	a.Scope(ck).Fork(StageExpire, 2)
+	a.End(ck, 0)
+	a.End(loc, 0)
+	a.SetEpisode(3)
+	a.Finish()
+	want := []string{"stage:tick", "stage:locate", "stage:check", "fork:expire",
+		"stage:locate", "stage:tick", "episode", "clear"}
+	if strings.Join(lab.calls, " ") != strings.Join(want, " ") {
+		t.Fatalf("label calls = %v, want %v", lab.calls, want)
+	}
+}
+
+// TestActiveReuseAllocatesNothing pins the steady-state cost of the
+// spine: a reused Active builds a timed tick tree, forks included,
+// without allocating; a tracer adds one exact-size copy per tick, which
+// later ticks do not disturb. An untimed Active hands out no fork
+// timer, so its fan-outs run as plain par.Do.
+func TestActiveReuseAllocatesNothing(t *testing.T) {
+	tick := uint64(0)
+	run := func(a *Active) func() {
+		return func() {
+			tick++
+			a.Start(tick, time.Now())
+			pre := a.Begin(Root, StagePreprocess)
+			f := a.Scope(pre).Fork(StageClassify, 4)
+			par.DoTimed(1, 4, f.Timer(), func(int) {}) // inline: par's goroutines are par's cost
+			a.End(pre, 4)
+			a.Finish()
+		}
+	}
+	for _, c := range []struct {
+		tr   *Tracer
+		want float64
+	}{{nil, 0}, {NewTracer(2), 1}} {
+		step := run(NewActive(c.tr, nil, true))
+		step() // grow the span slice and the fork pool
+		if n := testing.AllocsPerRun(100, step); n != c.want {
+			t.Fatalf("tracer %v: reused Active allocates %v times per tick, want %v", c.tr != nil, n, c.want)
+		}
+	}
+	tracer := NewTracer(2)
+	a := NewActive(tracer, nil, true)
+	run(a)()
+	a.Start(tick+1, time.Now())
+	a.Begin(Root, StageSOP)
+	if last := tracer.Last(1)[0]; last.Tick != tick || len(last.Spans) != 6 || last.Spans[1].Stage != StagePreprocess {
+		t.Fatalf("ring trace changed under the reused Active: %+v", last)
+	}
+	lab := NewActive(nil, &recLabeler{}, false)
+	lab.Start(1, time.Now())
+	if f := lab.Scope(Root).Fork(StageExpire, 2); f == nil || f.Timer() != nil {
+		t.Fatal("untimed Active: Fork must publish the stage but hand out no timer")
+	}
+}
+
+func TestStageNamesAreUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for s := Stage(0); s < NumStages; s++ {
+		if n := s.String(); n == "" || seen[n] {
+			t.Fatalf("stage %d name %q empty or duplicate", s, n)
+		}
+		seen[s.String()] = true
+	}
+	if NumStages.String() != "unknown" {
+		t.Fatalf("out-of-range stage = %q", NumStages.String())
+	}
 }
 
 func TestSpanTreeStructure(t *testing.T) {
 	tr := NewTracer(4)
 	now := time.Date(2024, 7, 2, 11, 0, 0, 0, time.UTC)
-	a := tr.StartTick(7, now)
-	pre := a.Begin(Root, "preprocess")
-	cls := a.Scope(pre).Begin("classify")
+	a := Start(tr, nil, 7, now)
+	pre := a.Begin(Root, StagePreprocess)
+	cls := a.Scope(pre).Begin(StageClassify)
 	a.End(cls, 100)
 	a.End(pre, 42)
-	loc := a.Begin(Root, "locate")
+	loc := a.Begin(Root, StageLocate)
 	a.End(loc, 5)
 	fin := a.Finish()
 	if fin == nil {
@@ -75,10 +161,10 @@ func TestSpanTreeStructure(t *testing.T) {
 
 func TestForkRecordsShardSpansUnderPar(t *testing.T) {
 	tr := NewTracer(4)
-	a := tr.StartTick(1, time.Now())
-	st := a.Begin(Root, "evaluate")
+	a := Start(tr, nil, 1, time.Now())
+	st := a.Begin(Root, StageEvaluate)
 	const n = 16
-	f := a.Scope(st).Fork("refine_score", n)
+	f := a.Scope(st).Fork(StageRefineScore, n)
 	par.DoTimed(4, n, f.Timer(), func(i int) {
 		time.Sleep(time.Duration(i%3) * 100 * time.Microsecond)
 	})
@@ -111,7 +197,7 @@ func TestForkRecordsShardSpansUnderPar(t *testing.T) {
 func TestRingEvictionAndSlowest(t *testing.T) {
 	tr := NewTracer(2)
 	for i := 0; i < 5; i++ {
-		a := tr.StartTick(uint64(i), time.Now())
+		a := Start(tr, nil, uint64(i), time.Now())
 		if i == 2 {
 			time.Sleep(2 * time.Millisecond) // the slow tick
 		}
@@ -139,8 +225,8 @@ func TestRingEvictionAndSlowest(t *testing.T) {
 func TestStageStatsAggregate(t *testing.T) {
 	tr := NewTracer(8)
 	for i := 0; i < 3; i++ {
-		a := tr.StartTick(uint64(i), time.Now())
-		r := a.Begin(Root, "preprocess")
+		a := Start(tr, nil, uint64(i), time.Now())
+		r := a.Begin(Root, StagePreprocess)
 		a.End(r, 10)
 		a.Finish()
 	}
@@ -165,9 +251,9 @@ func TestStageStatsAggregate(t *testing.T) {
 
 func TestTraceJSONAndRender(t *testing.T) {
 	tr := NewTracer(4)
-	a := tr.StartTick(9, time.Now())
-	st := a.Begin(Root, "locate")
-	f := a.Scope(st).Fork("addbatch", 8)
+	a := Start(tr, nil, 9, time.Now())
+	st := a.Begin(Root, StageLocate)
+	f := a.Scope(st).Fork(StageAddBatchFan, 8)
 	par.DoTimed(2, 8, f.Timer(), func(i int) {})
 	a.End(st, 12)
 	fin := a.Finish()
@@ -204,8 +290,8 @@ func TestConcurrentFinishAndRead(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			a := tr.StartTick(uint64(i), time.Now())
-			r := a.Begin(Root, "stage")
+			a := Start(tr, nil, uint64(i), time.Now())
+			r := a.Begin(Root, StageSOP)
 			a.End(r, i)
 			a.Finish()
 		}

@@ -20,7 +20,7 @@ const (
 	// transition (created, updated, zoomed, scored, closed).
 	EventTypeIncident = fanout.EventIncident
 	// EventTypeAnomaly carries a flight.Event — a flight-recorder trigger
-	// firing (tick_p99, ingest_shed, ...).
+	// firing (slo_burn, flood_close).
 	EventTypeAnomaly = fanout.EventAnomaly
 	// EventTypeSnapshot carries the full incident-feed state as of one
 	// tick — what a fresh or resyncing consumer renders from.
@@ -34,8 +34,8 @@ const (
 )
 
 // WithFlight mounts GET /api/health serving the flight recorder's
-// self-SLO verdict: HTTP 200 while healthy, 503 while any anomaly
-// trigger is firing. The handler reads recorder state only — it never
+// self-SLO verdict: HTTP 200 while healthy, 503 while any SLO rule is
+// firing. The handler reads recorder and SLO state only — it never
 // takes the engine lock.
 func (s *Snapshotter) WithFlight(rec *flight.Recorder) *Snapshotter {
 	s.flight = rec

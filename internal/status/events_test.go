@@ -12,8 +12,10 @@ import (
 
 	"skynet/internal/fanout"
 	"skynet/internal/flight"
+	"skynet/internal/slo"
 	"skynet/internal/span"
 	"skynet/internal/telemetry"
+	"skynet/internal/tsdb"
 )
 
 // listenHub starts a real HTTP server (httptest's recorder cannot
@@ -76,7 +78,9 @@ func TestSSEDeliversJournalAndFlightEvents(t *testing.T) {
 
 	journal := telemetry.NewJournal(16)
 	journal.SetNotify(func(ev telemetry.Event) { hub.Publish(EventTypeIncident, ev) })
-	rec := flight.New(flight.Config{Window: 4, SLOTickP99: time.Millisecond}, flight.Sources{})
+	db := tsdb.New(tsdb.Config{})
+	sloEng := slo.New(db, slo.DefaultRules(time.Millisecond))
+	rec := flight.New(flight.Config{}, flight.Sources{SLO: sloEng})
 	rec.SetNotify(func(ev flight.Event) { hub.Publish(EventTypeAnomaly, ev) })
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -98,7 +102,13 @@ func TestSSEDeliversJournalAndFlightEvents(t *testing.T) {
 	}
 
 	journal.Append(telemetry.Event{Type: telemetry.EventCreated, Incident: 7, Root: "RG01"})
-	rec.Observe(epoch, time.Second) // breaches the 1ms SLO → anomaly event
+	// A 1s tick against the 1ms objective burns until the tick-latency
+	// rule fires → one slo_burn anomaly event.
+	for tick := uint64(0); rec.Health().OK && tick < 200; tick++ {
+		db.Append(tsdb.MetricTickDuration, tick, 1)
+		sloEng.Evaluate(tick)
+		rec.Observe(epoch.Add(time.Duration(tick) * time.Second))
+	}
 
 	frames := readFrames(t, bufio.NewReader(resp.Body), 2)
 	if frames[0].event != EventTypeIncident {
@@ -115,7 +125,7 @@ func TestSSEDeliversJournalAndFlightEvents(t *testing.T) {
 		t.Fatalf("frame 1 event = %q", frames[1].event)
 	}
 	var fe flight.Event
-	if err := json.Unmarshal([]byte(frames[1].data), &fe); err != nil || fe.Trigger != flight.TriggerTickP99 {
+	if err := json.Unmarshal([]byte(frames[1].data), &fe); err != nil || fe.Trigger != flight.TriggerSLOBurn {
 		t.Fatalf("frame 1 data = %q (%v)", frames[1].data, err)
 	}
 
@@ -237,28 +247,36 @@ func TestFanoutHubConcurrentShutdown(t *testing.T) {
 	hub.Publish(EventTypeAnomaly, "after close") // must be a no-op
 }
 
-// TestHealthEndpointFlipsWithRecorder drives the flight recorder through
-// degraded and back; /api/health must follow with 503 and 200.
+// TestHealthEndpointFlipsWithRecorder drives an SLO rule through firing
+// and back; /api/health must follow with 503 naming the rule, then 200.
 func TestHealthEndpointFlipsWithRecorder(t *testing.T) {
 	eng, mu := loadedEngine(t)
-	rec := flight.New(flight.Config{Window: 2, SLOTickP99: 100 * time.Millisecond}, flight.Sources{})
+	db := tsdb.New(tsdb.Config{})
+	sloEng := slo.New(db, []slo.Rule{{Name: "tick-latency", Metric: tsdb.MetricTickDuration,
+		Target: 0.1, Budget: 0.5, FastWindow: 2, SlowWindow: 2, FastBurn: 1, SlowBurn: 1}})
+	rec := flight.New(flight.Config{}, flight.Sources{SLO: sloEng})
 	h := NewSnapshotter(mu, eng, nil).WithFlight(rec).Handler()
+	tick := func(n uint64, secs float64) {
+		db.Append(tsdb.MetricTickDuration, n, secs)
+		sloEng.Evaluate(n)
+		rec.Observe(epoch.Add(time.Duration(n) * 10 * time.Second))
+	}
 
-	rec.Observe(epoch, time.Millisecond)
+	tick(0, 0.001)
 	code, body := get(t, h, "/api/health")
 	if code != http.StatusOK || !strings.Contains(body, `"status": "ok"`) {
 		t.Fatalf("healthy: code=%d body=%s", code, body)
 	}
-	rec.Observe(epoch.Add(10*time.Second), time.Second)
+	tick(1, 1)
 	code, body = get(t, h, "/api/health")
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"status": "degraded"`) {
 		t.Fatalf("degraded: code=%d body=%s", code, body)
 	}
-	if !strings.Contains(body, flight.TriggerTickP99) {
-		t.Fatalf("degraded body missing trigger name: %s", body)
+	if !strings.Contains(body, `"tick-latency"`) {
+		t.Fatalf("degraded body missing the firing rule: %s", body)
 	}
-	for i := 0; i < 2; i++ {
-		rec.Observe(epoch.Add(time.Duration(20+10*i)*time.Second), time.Millisecond)
+	for n := uint64(2); n < 4; n++ {
+		tick(n, 0.001)
 	}
 	if code, _ = get(t, h, "/api/health"); code != http.StatusOK {
 		t.Fatalf("recovered: code=%d", code)
@@ -270,8 +288,8 @@ func TestTraceEndpoint(t *testing.T) {
 	eng, mu := loadedEngine(t)
 	tracer := span.NewTracer(8)
 	for tick := uint64(1); tick <= 5; tick++ {
-		act := tracer.StartTick(tick, epoch)
-		r := act.Begin(span.Root, "preprocess")
+		act := span.Start(tracer, nil, tick, epoch)
+		r := act.Begin(span.Root, span.StagePreprocess)
 		act.End(r, int(tick))
 		act.Finish()
 	}

@@ -70,8 +70,11 @@ func consumeAll(ctx context.Context, sub *fanout.Subscriber) (frames int, err er
 				return frames, verr
 			}
 			if f.Seq() < lastSeq {
+				// Format before releasing: a released frame may already
+				// be recycled, and its fields are no longer meaningful.
+				err := fmt.Errorf("delivery moved backwards: %v seq %d after %d", f.Kind(), f.Seq(), lastSeq)
 				sub.ReleaseAll(fs)
-				return frames, fmt.Errorf("delivery moved backwards: seq %d after %d", f.Seq(), lastSeq)
+				return frames, err
 			}
 			lastSeq = f.Seq()
 			frames++
