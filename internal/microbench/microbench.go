@@ -7,6 +7,7 @@ package microbench
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -78,6 +79,7 @@ var suite = []struct {
 	{"engine_tick_profiled", func(b *testing.B) { EngineTick(b, TickSetup{Profiled: true}) }},
 	{"engine_tick_fanout", func(b *testing.B) { EngineTick(b, TickSetup{Fanout: true}) }},
 	{"preprocessor_stream", benchPreprocessorStream},
+	{"preprocess_quiet_tick", benchPreprocessQuietTick},
 	{"incident_entries", benchIncidentEntries},
 	{"batch_absorb", benchBatchAbsorb},
 	{"locator_addcheck", benchLocatorAddCheck},
@@ -340,6 +342,81 @@ func benchPreprocessorStream(b *testing.B) {
 			b.Fatal("no output")
 		}
 	}
+}
+
+// benchPreprocessQuietTick measures one preprocessor tick over a
+// flood-shaped population: ProductionConfig, one uncorroborated
+// traffic-drop stream per noise source at every device (~37K live
+// aggregates), and a 10K-row batch per tick — 60% failure types and 10%
+// raw syslog lines at one hotspot cluster, 30% repeats of the noise
+// streams. Nearly every live aggregate is a quiet repeat, so this is the
+// cost the sweep pays (or does not pay) for the flood's quiet tail.
+func benchPreprocessQuietTick(b *testing.B) {
+	topo := topology.MustGenerate(topology.ProductionConfig())
+	classifier, err := preprocess.BootstrapClassifier()
+	if err != nil {
+		b.Fatal(err)
+	}
+	noise := []alert.Source{alert.SourceTraffic, alert.SourceSNMP, alert.SourceNetFlow}
+	hotKinds := []alert.TypeKey{
+		{Source: alert.SourcePing, Type: alert.TypePacketLoss},
+		{Source: alert.SourcePing, Type: alert.TypeEndToEndICMP},
+		{Source: alert.SourceTraffic, Type: alert.TypePacketLoss},
+		{Source: alert.SourceSNMP, Type: alert.TypeCRCError},
+		{Source: alert.SourceSNMP, Type: alert.TypeLinkDown},
+		{Source: alert.SourceOutOfBand, Type: alert.TypeDeviceInaccessible},
+		{Source: alert.SourceTraffic, Type: alert.TypeTrafficCongestion},
+	}
+	hot := topo.DevicesUnder(topo.Clusters()[0])
+	corpus := preprocess.BootstrapCorpus()
+	rng := rand.New(rand.NewSource(1))
+	mk := func(src alert.Source, typ string, loc hierarchy.Path) alert.Alert {
+		return alert.Alert{Source: src, Type: typ, Class: alert.Classify(src, typ),
+			Location: loc, Value: 0.3, Count: 1}
+	}
+	var pop, batch alert.Batch
+	for i := range topo.Devices {
+		for _, src := range noise {
+			a := mk(src, alert.TypeTrafficDrop, topo.Devices[i].Path)
+			a.Time, a.End = benchEpoch, benchEpoch
+			pop.Append(&a)
+		}
+	}
+	// offsets place each row inside the second before its tick.
+	offsets := make([]time.Duration, 10_000)
+	for j := range offsets {
+		var a alert.Alert
+		switch r := rng.Float64(); {
+		case r < 0.1:
+			a = mk(alert.SourceSyslog, "", topo.Device(hot[rng.Intn(len(hot))]).Path)
+			a.Raw = corpus[rng.Intn(len(corpus))]
+		case r < 0.7:
+			k := hotKinds[rng.Intn(len(hotKinds))]
+			a = mk(k.Source, k.Type, topo.Device(hot[rng.Intn(len(hot))]).Path)
+		default:
+			a = mk(noise[rng.Intn(len(noise))], alert.TypeTrafficDrop, topo.Devices[rng.Intn(len(topo.Devices))].Path)
+		}
+		offsets[j] = time.Duration(rng.Int63n(int64(time.Second)))
+		a.Time, a.End = benchEpoch, benchEpoch
+		batch.Append(&a)
+	}
+	p := preprocess.New(preprocess.DefaultConfig(), topo, classifier)
+	now := benchEpoch.Add(time.Second)
+	p.AddBatch(&pop)
+	p.Tick(now)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := now
+		now = now.Add(time.Second)
+		for j, off := range offsets {
+			batch.Time[j] = base.Add(off)
+			batch.End[j] = batch.Time[j]
+		}
+		p.AddBatch(&batch)
+		p.Tick(now)
+	}
+	b.ReportMetric(float64(len(offsets)), "alerts/tick")
 }
 
 // benchIncidentEntries measures the pooled incident output path: slab

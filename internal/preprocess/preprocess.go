@@ -25,13 +25,20 @@
 // buffered batch out to Config.Workers workers in two parallel phases —
 // FT-tree classification/normalization (per-alert independent) and
 // per-aggregate consolidation (alerts hashed by aggregate key, so each
-// aggregate has a single owner) — then drains the aggregates serially in
-// one globally sorted key order. Emission order, assigned IDs, and every
-// filter decision are therefore identical for any worker count, including
-// the serial Workers=1 path.
+// aggregate has a single owner) — then sweeps serially. The sweep visits
+// only the due set: the aggregates whose visit can change anything this
+// tick (new ones, sporadic-held ones just touched, expiry and refresh
+// deadlines that passed, traffic drops whose corroboration evidence just
+// arrived), sorted into one global key order. Every other live aggregate
+// is a quiet repeat whose visit would be a no-op, so a flood's tens of
+// thousands of uncorroborated streams cost nothing per tick. Emission
+// order, assigned IDs, and every filter decision are therefore identical
+// to visiting the whole population, for any worker count, including the
+// serial Workers=1 path.
 package preprocess
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -122,21 +129,33 @@ type aggKey struct {
 	cs  int32
 }
 
-// aggregate is one live (source, type, location) stream.
+// aggregate is one live (source, type, location) stream. Its layout is
+// kept at 448 bytes, a size-class edge: the flood keeps tens of thousands
+// alive, so every added word shows in the heap.
 type aggregate struct {
 	key aggKey
+	// due is the tick sequence number that last put this aggregate in a
+	// sweep's due set (it fills aggKey's trailing pad).
+	due uint32
 	// chain links aggregates that share a location, threaded from the
 	// shard's byPid table — consolidation's lookup structure.
-	chain    *aggregate
-	a        alert.Alert
-	emitted  bool
-	dead     bool // swept away; awaiting key-list compaction
+	chain     *aggregate
+	a         alert.Alert
+	emitted   bool
+	dead      bool // swept away; stale deadline entries may still name it
+	suspended bool // waiting for corroboration (traffic drops)
+	// armed marks an emitted aggregate whose refresh deadline passed
+	// while it was quiet: its next touch makes it due. Only a refresh
+	// clears it, since a touch may carry a timestamp older than lastEmit.
+	armed    bool
 	lastEmit time.Time
 	lastSeen time.Time
+	// expAt is the earliest expiry deadline (Unix nanoseconds) this
+	// aggregate has queued in its shard's expiry queue.
+	expAt int64
 	// emittedCount is how many raw observations have been reported
 	// downstream, so refreshes carry deltas rather than re-counting.
 	emittedCount int
-	suspended    bool // waiting for corroboration (traffic drops)
 	// headLineage is the provenance lineage of the alert that opened this
 	// aggregate, carried until the aggregate's fate is known (first
 	// emission or a filter drop); refreshes carry no lineage.
@@ -154,17 +173,14 @@ type preShard struct {
 	// race-free; live counts the chained aggregates.
 	byPid []*aggregate
 	live  int
-	// keys mirrors the map's value set in emission order, maintained
-	// incrementally so Tick never re-sorts the full population. Holding
-	// the aggregates directly lets the sweep and the k-way merge walk the
-	// population with zero map lookups.
-	keys []*aggregate
+	// exp queues every live aggregate's expiry deadline. Consolidation
+	// pushes to it in the parallel phase, so it is shard-local.
+	exp deadlineQueue
 
-	// per-tick scratch, merged into Stats serially after each phase
-	newAggs []*aggregate
-	dedup   int
-	routed  int // batch alerts consolidated into this shard last Tick
-	deleted int // sweep deletions pending key-list compaction
+	// per-tick scratch, merged serially after each phase
+	due    []*aggregate // made due by consolidation this tick
+	dedup  int
+	routed int // batch alerts consolidated into this shard last Tick
 
 	// aggFree recycles swept aggregate structs so steady-state churn
 	// (streams expiring and reappearing) does not allocate.
@@ -238,6 +254,27 @@ type Preprocessor struct {
 	// tracks which slots are set so expiry never scans the full table.
 	corroT    []time.Time
 	corroList []intern.PathID
+	// corroKids lists the interned locations under each corroboration
+	// key; suspCount counts the live suspended aggregates under it. A
+	// key whose evidence was set or raised this tick, with suspended
+	// aggregates under it, goes on raised (corroSeq dedupes) — the only
+	// way a suspended aggregate's corroboration check can flip.
+	corroKids map[intern.PathID][]intern.PathID
+	suspCount []int32
+	corroSeq  []uint32
+	raised    []intern.PathID
+
+	// refresh queues emitted aggregates' refresh deadlines
+	// (lastEmit+RefreshInterval); emissions are serial, so it is global.
+	refresh deadlineQueue
+	// surges holds the emitted or swallowed traffic surges, the only
+	// aggregates the related-surge filter looks at. Swept-away entries
+	// are marked dead and dropped at the end of the sweep.
+	surges     []*aggregate
+	deadSurges int
+
+	// seq numbers the Tick and Drain calls; aggregate.due compares to it.
+	seq uint32
 
 	stats  Stats
 	nextID uint64
@@ -246,7 +283,7 @@ type Preprocessor struct {
 	prep    []prepared
 	chunks  []chunkScratch
 	emitBuf []alert.Alert
-	cursors []int
+	due     []*aggregate // this sweep's visit list, in cmpAgg order
 }
 
 // New builds a preprocessor. The classifier may be nil, in which case raw
@@ -263,8 +300,8 @@ func New(cfg Config, topo *topology.Topology, classifier *ftree.Classifier) *Pre
 		pt:         intern.NewPathTable(),
 		tt:         intern.NewTypeTable(),
 		csIDs:      make(map[string]int32),
+		corroKids:  make(map[intern.PathID][]intern.PathID),
 		chunks:     make([]chunkScratch, workers),
-		cursors:    make([]int, workers),
 	}
 	return p
 }
@@ -280,9 +317,12 @@ func (p *Preprocessor) growTables() {
 			corro = p.pt.Parent(corro)
 		}
 		p.corroOf = append(p.corroOf, corro)
+		p.corroKids[corro] = append(p.corroKids[corro], pid)
 	}
-	if len(p.corroT) < p.pt.Len() {
-		p.corroT = append(p.corroT, make([]time.Time, p.pt.Len()-len(p.corroT))...)
+	if n := p.pt.Len() - len(p.corroT); n > 0 {
+		p.corroT = append(p.corroT, make([]time.Time, n)...)
+		p.suspCount = append(p.suspCount, make([]int32, n)...)
+		p.corroSeq = append(p.corroSeq, make([]uint32, n)...)
 	}
 }
 
@@ -444,8 +484,10 @@ func (p *Preprocessor) absorb() {
 			if t := p.corroT[key]; t.IsZero() {
 				p.corroT[key] = b.Time[i]
 				p.corroList = append(p.corroList, key)
+				p.raise(key)
 			} else if b.Time[i].After(t) {
 				p.corroT[key] = b.Time[i]
+				p.raise(key)
 			}
 		}
 		if p.prov != nil && it.lin != 0 && it.classified {
@@ -466,7 +508,6 @@ func (p *Preprocessor) absorb() {
 	par.DoTimed(p.workers, nshards, sf.Timer(), func(s int) {
 		shard := &p.shards[s]
 		shard.dedup, shard.routed = 0, 0
-		shard.newAggs = shard.newAggs[:0]
 		// Cover every PathID interned by the serial pass. byPid is
 		// shard-local, so this grow cannot race other workers.
 		if n := p.pt.Len(); len(shard.byPid) < n {
@@ -480,16 +521,20 @@ func (p *Preprocessor) absorb() {
 			shard.routed++
 			p.consolidate(shard, i, it)
 		}
-		if len(shard.newAggs) > 0 {
-			slices.SortFunc(shard.newAggs, cmpAgg)
-			shard.keys = mergeSortedAggs(shard.keys, shard.newAggs)
-		}
 	})
 	for s := range p.shards {
-		p.stats.Deduplicated += p.shards[s].dedup
-		if len(p.shards[s].provAbsorbed) > 0 {
-			p.prov.ConsolidatedAll(p.shards[s].provAbsorbed)
-			p.shards[s].provAbsorbed = p.shards[s].provAbsorbed[:0]
+		shard := &p.shards[s]
+		p.stats.Deduplicated += shard.dedup
+		if len(shard.provAbsorbed) > 0 {
+			p.prov.ConsolidatedAll(shard.provAbsorbed)
+			shard.provAbsorbed = shard.provAbsorbed[:0]
+		}
+		// Touched aggregates are never suspended, so every suspended one
+		// on the due list opened this tick.
+		for _, g := range shard.due {
+			if g.suspended {
+				p.suspCount[p.corroOf[g.key.pid]]++
+			}
 		}
 	}
 	p.pending.Reset()
@@ -550,6 +595,17 @@ func (p *Preprocessor) consolidate(shard *preShard, i int, it *prepared) {
 		}
 		g.a.Count += int(b.Count[i])
 		g.lastSeen = b.Time[i]
+		// An older timestamp moves the expiry deadline earlier than the
+		// queued one; queue the new deadline too.
+		if at := p.expiryAt(g.lastSeen); at < g.expAt {
+			g.expAt = at
+			shard.exp.push(at, g)
+		}
+		// A held-back sporadic loss may now persist enough to pass; an
+		// armed aggregate may now refresh.
+		if (!g.emitted && !g.suspended) || g.armed {
+			shard.due = markDue(shard.due, g, p.seq)
+		}
 		if it.lin != 0 {
 			shard.provAbsorbed = append(shard.provAbsorbed, provenance.Pair{Lid: it.lin, Head: g.headLineage})
 		}
@@ -568,7 +624,19 @@ func (p *Preprocessor) consolidate(shard *preShard, i int, it *prepared) {
 	g.chain = shard.byPid[k.pid]
 	shard.byPid[k.pid] = g
 	shard.live++
-	shard.newAggs = append(shard.newAggs, g)
+	g.expAt = p.expiryAt(g.lastSeen)
+	shard.exp.push(g.expAt, g)
+	shard.due = markDue(shard.due, g, p.seq)
+}
+
+// markDue appends g to a due list unless tick seq already put it on
+// one.
+func markDue(due []*aggregate, g *aggregate, seq uint32) []*aggregate {
+	if g.due == seq {
+		return due
+	}
+	g.due = seq
+	return append(due, g)
 }
 
 // unlink removes g from its location's consolidation chain. Chains are a
@@ -588,6 +656,23 @@ func (shard *preShard) unlink(g *aggregate) {
 	shard.live--
 }
 
+// remove sweeps g away: off its location chain, out of the suspended
+// count and the surge list, and onto the shard's free list. Stale
+// deadline entries that still name g see dead and skip it; the struct is
+// reused no earlier than the next consolidation phase.
+func (p *Preprocessor) remove(g *aggregate) {
+	shard := &p.shards[p.routeOf[g.key.pid]]
+	shard.unlink(g)
+	g.dead = true
+	if g.suspended {
+		p.suspCount[p.corroOf[g.key.pid]]--
+	}
+	if g.emitted && g.a.Type == alert.TypeTrafficSurge {
+		p.deadSurges++
+	}
+	shard.aggFree = append(shard.aggFree, g)
+}
+
 // classify runs the FT-tree classifier over a raw line. The classifier is
 // immutable after construction, so concurrent phase-A calls are safe.
 func (p *Preprocessor) classify(raw string) (string, bool) {
@@ -600,52 +685,28 @@ func (p *Preprocessor) classify(raw string) (string, bool) {
 // Tick ingests the buffered batch and returns the structured alerts
 // emitted at now: new aggregates that pass the filters, refreshes of
 // long-running aggregates, and corroborated traffic drops. Expired
-// aggregates are garbage collected.
+// aggregates are garbage collected. Deadlines compare on the wall clock:
+// a monotonic reading in now is dropped.
 //
 // The returned slice is reused by the next Tick or Drain call; callers
 // that retain alerts past that point must copy them.
 func (p *Preprocessor) Tick(now time.Time) []alert.Alert {
+	now = now.Round(0)
 	if p.prov != nil {
 		p.prov.BeginEmitWindow()
 	}
+	p.seq++
 	p.absorb()
-	// Sweep aggregates in one global lessAggKey order (a k-way merge of
-	// the shards' sorted key lists) so emission order, assigned IDs, and
-	// the related-surge decisions are identical for every worker count.
+	// Visit the due aggregates in one global cmpAgg order so emission
+	// order, assigned IDs, and the related-surge decisions are those of a
+	// sweep over every live aggregate, for every worker count.
 	swR := p.spans.Begin(span.StageSweep)
 	p.emitBuf = p.emitBuf[:0]
-	p.sweep(now, func(shard *preShard, g *aggregate) {
-		if now.Sub(g.lastSeen) > p.cfg.AggWindow {
-			// Aggregate went quiet: account for the never-emitted ones.
-			if !g.emitted {
-				switch {
-				case g.suspended:
-					p.stats.DroppedUncorroborated++
-					p.resolveFiltered(g, provenance.FilterUncorroborated)
-				case p.isSporadic(g):
-					p.stats.DroppedSporadic++
-					p.resolveFiltered(g, provenance.FilterSporadic)
-				default:
-					p.resolveFiltered(g, provenance.FilterStale)
-				}
-			}
-			shard.unlink(g)
-			g.dead = true
-			shard.deleted++
-			return
-		}
-		if g.emitted {
-			if now.Sub(g.lastEmit) >= p.cfg.RefreshInterval && g.lastSeen.After(g.lastEmit) {
-				p.emitBuf = append(p.emitBuf, p.emit(g, now))
-			}
-			return
-		}
-		if !p.pass(g, now) {
-			return
-		}
-		p.emitBuf = append(p.emitBuf, p.emit(g, now))
-	})
-	p.compactKeys()
+	p.collectDue(now)
+	for _, g := range p.due {
+		p.visit(g, now)
+	}
+	p.dropDeadSurges()
 	p.spans.End(swR, len(p.emitBuf))
 	// Expire stale corroboration evidence.
 	for i := 0; i < len(p.corroList); {
@@ -662,61 +723,124 @@ func (p *Preprocessor) Tick(now time.Time) []alert.Alert {
 	return p.emitBuf
 }
 
-// sweep visits every live aggregate in global emission order (a k-way
-// merge over the shards' sorted aggregate lists — no map lookups). The
-// visitor may delete the current aggregate from its shard (marking it
-// dead and bumping shard.deleted); compactKeys reconciles the lists
-// afterwards.
-func (p *Preprocessor) sweep(now time.Time, visit func(shard *preShard, g *aggregate)) {
-	cursors := p.cursors
-	for i := range cursors {
-		cursors[i] = 0
-	}
-	for {
-		best := -1
-		for s := range p.shards {
-			keys := p.shards[s].keys
-			if cursors[s] >= len(keys) {
-				continue
-			}
-			if best < 0 || cmpAgg(keys[cursors[s]], p.shards[best].keys[cursors[best]]) < 0 {
-				best = s
+// visit applies one sweep step to a live aggregate: expiry, refresh, or
+// the first-emission filters. Visiting an aggregate that is not due is a
+// no-op, which is what lets the sweep skip it.
+func (p *Preprocessor) visit(g *aggregate, now time.Time) {
+	if now.Sub(g.lastSeen) > p.cfg.AggWindow {
+		// Aggregate went quiet: account for the never-emitted ones.
+		if !g.emitted {
+			switch {
+			case g.suspended:
+				p.stats.DroppedUncorroborated++
+				p.resolveFiltered(g, provenance.FilterUncorroborated)
+			case p.isSporadic(g):
+				p.stats.DroppedSporadic++
+				p.resolveFiltered(g, provenance.FilterSporadic)
+			default:
+				p.resolveFiltered(g, provenance.FilterStale)
 			}
 		}
-		if best < 0 {
+		p.remove(g)
+		return
+	}
+	if g.emitted {
+		if !g.lastSeen.After(g.lastEmit) {
 			return
 		}
-		shard := &p.shards[best]
-		g := shard.keys[cursors[best]]
-		cursors[best]++
-		visit(shard, g)
+		if now.Sub(g.lastEmit) >= p.cfg.RefreshInterval {
+			p.emitBuf = append(p.emitBuf, p.emit(g, now))
+		} else {
+			// Only reached when now moved backwards past the deadline
+			// that made g due: queue it again.
+			p.refresh.push(p.refreshAt(g), g)
+		}
+		return
+	}
+	if !p.pass(g, now) {
+		return
+	}
+	p.emitBuf = append(p.emitBuf, p.emit(g, now))
+}
+
+// collectDue fills p.due with this tick's due set in cmpAgg order: the
+// aggregates consolidation opened or touched while they could still
+// change (held-back sporadic loss, armed refreshes), those whose expiry
+// or refresh deadline passed, and suspended traffic drops that the
+// corroboration evidence raised this tick now covers.
+func (p *Preprocessor) collectDue(now time.Time) {
+	p.due = p.due[:0]
+	nowN := wallNanos(now)
+	for s := range p.shards {
+		shard := &p.shards[s]
+		p.due = append(p.due, shard.due...)
+		shard.due = shard.due[:0]
+		for len(shard.exp) > 0 && shard.exp[0].at < nowN {
+			e := shard.exp.pop()
+			g := e.g
+			if g.dead || g.expAt != e.at {
+				continue // stale: g is gone or queued an earlier deadline
+			}
+			if now.Sub(g.lastSeen) > p.cfg.AggWindow {
+				p.due = markDue(p.due, g, p.seq)
+				continue
+			}
+			// Touched since it was queued: requeue at the new deadline.
+			g.expAt = max(p.expiryAt(g.lastSeen), nowN)
+			shard.exp.push(g.expAt, g)
+		}
+	}
+	for len(p.refresh) > 0 && p.refresh[0].at <= nowN {
+		e := p.refresh.pop()
+		g := e.g
+		if g.dead || !g.emitted || e.at != p.refreshAt(g) {
+			continue // stale: g is gone or emitted again since
+		}
+		if g.lastSeen.After(g.lastEmit) {
+			p.due = markDue(p.due, g, p.seq)
+		} else {
+			g.armed = true
+		}
+	}
+	for _, key := range p.raised {
+		if p.suspCount[key] == 0 {
+			continue
+		}
+		for _, pid := range p.corroKids[key] {
+			for g := p.shards[p.routeOf[pid]].byPid[pid]; g != nil; g = g.chain {
+				if g.suspended && p.corroborated(g) {
+					p.due = markDue(p.due, g, p.seq)
+				}
+			}
+		}
+	}
+	p.raised = p.raised[:0]
+	slices.SortFunc(p.due, cmpAgg)
+}
+
+// raise notes that corroboration key's evidence was set or raised this
+// tick. Serial pass only.
+func (p *Preprocessor) raise(key intern.PathID) {
+	if p.corroSeq[key] != p.seq {
+		p.corroSeq[key] = p.seq
+		p.raised = append(p.raised, key)
 	}
 }
 
-// compactKeys drops swept-away aggregates from each shard's sorted list,
-// in parallel — each shard is owned by one task.
-func (p *Preprocessor) compactKeys() {
-	par.Do(p.workers, len(p.shards), func(s int) {
-		shard := &p.shards[s]
-		if shard.deleted == 0 {
-			return
+// dropDeadSurges removes the surges swept away this tick from the surge
+// list.
+func (p *Preprocessor) dropDeadSurges() {
+	if p.deadSurges == 0 {
+		return
+	}
+	kept := p.surges[:0]
+	for _, g := range p.surges {
+		if !g.dead {
+			kept = append(kept, g)
 		}
-		kept := shard.keys[:0]
-		for _, g := range shard.keys {
-			if !g.dead {
-				kept = append(kept, g)
-			} else {
-				// Recycle: the struct is unreferenced once off the keys
-				// list (unlink already dropped it from the byPid chain).
-				shard.aggFree = append(shard.aggFree, g)
-			}
-		}
-		for i := len(kept); i < len(shard.keys); i++ {
-			shard.keys[i] = nil
-		}
-		shard.keys = kept
-		shard.deleted = 0
-	})
+	}
+	p.surges = kept
+	p.deadSurges = 0
 }
 
 // pass applies the single-source and cross-source consolidation rules to a
@@ -724,9 +848,9 @@ func (p *Preprocessor) compactKeys() {
 func (p *Preprocessor) pass(g *aggregate, now time.Time) bool {
 	// Cross-source rule: traffic drops wait for corroboration.
 	if g.suspended {
-		key := p.corroOf[g.key.pid]
-		if t := p.corroT[key]; !t.IsZero() && absDuration(t.Sub(g.a.Time)) <= p.cfg.CorroborationWindow {
+		if p.corroborated(g) {
 			g.suspended = false
+			p.suspCount[p.corroOf[g.key.pid]]--
 			return true
 		}
 		return false
@@ -738,13 +862,21 @@ func (p *Preprocessor) pass(g *aggregate, now time.Time) bool {
 	// Single-source rule: a surge adjacent to an already-emitted surge is
 	// the same traffic shifting; filter it.
 	if g.a.Type == alert.TypeTrafficSurge && p.adjacentSurgeEmitted(g) {
-		g.emitted = true // swallow without output
-		g.lastEmit = now
+		p.markEmitted(g, now) // swallow without output
 		p.stats.DroppedRelated++
 		p.resolveFiltered(g, provenance.FilterRelated)
 		return false
 	}
 	return true
+}
+
+// corroborated reports whether cross-source evidence at g's
+// corroboration key lies within the window of g's opening alert. g.a.Time
+// never changes after creation, so the answer can only flip when the
+// evidence is set or raised.
+func (p *Preprocessor) corroborated(g *aggregate) bool {
+	t := p.corroT[p.corroOf[g.key.pid]]
+	return !t.IsZero() && absDuration(t.Sub(g.a.Time)) <= p.cfg.CorroborationWindow
 }
 
 // resolveFiltered records a filter drop for the aggregate's head lineage,
@@ -763,31 +895,38 @@ func (p *Preprocessor) isSporadic(g *aggregate) bool {
 }
 
 // adjacentSurgeEmitted checks whether a surge at a topologically adjacent
-// device has already been emitted. The existence scan is order-free, so
-// shard iteration order cannot change the answer.
+// device has already been emitted (or swallowed). The existence scan is
+// order-free, so list order cannot change the answer; surges swept away
+// earlier in this sweep are dead and skipped.
 func (p *Preprocessor) adjacentSurgeEmitted(g *aggregate) bool {
 	if p.topo == nil {
 		return false
 	}
-	for s := range p.shards {
-		for _, other := range p.shards[s].keys {
-			if other.dead || other.a.Type != alert.TypeTrafficSurge || !other.emitted || other == g {
-				continue
-			}
-			if p.topo.Adjacent(g.a.Location, other.a.Location) {
-				return true
-			}
+	for _, other := range p.surges {
+		if !other.dead && p.topo.Adjacent(g.a.Location, other.a.Location) {
+			return true
 		}
 	}
 	return false
+}
+
+// markEmitted records that g was emitted, or swallowed as a related
+// surge, at now: a first one joins the surge list, and its next refresh
+// is queued.
+func (p *Preprocessor) markEmitted(g *aggregate, now time.Time) {
+	if !g.emitted && g.a.Type == alert.TypeTrafficSurge {
+		p.surges = append(p.surges, g)
+	}
+	g.emitted, g.armed = true, false
+	g.lastEmit = now
+	p.refresh.push(p.refreshAt(g), g)
 }
 
 // emit finalizes an output alert from an aggregate. The emitted Count is
 // the delta of raw observations since the previous emission, so downstream
 // accumulation stays exact across refreshes.
 func (p *Preprocessor) emit(g *aggregate, now time.Time) alert.Alert {
-	g.emitted = true
-	g.lastEmit = now
+	p.markEmitted(g, now)
 	p.nextID++
 	p.stats.Out++
 	a := g.a
@@ -813,9 +952,19 @@ func (p *Preprocessor) Drain(now time.Time) []alert.Alert {
 	if p.prov != nil {
 		p.prov.BeginEmitWindow()
 	}
+	p.seq++
 	p.absorb()
 	p.emitBuf = p.emitBuf[:0]
-	p.sweep(now, func(shard *preShard, g *aggregate) {
+	p.due = p.due[:0]
+	for s := range p.shards {
+		for _, head := range p.shards[s].byPid {
+			for g := head; g != nil; g = g.chain {
+				p.due = append(p.due, g)
+			}
+		}
+	}
+	slices.SortFunc(p.due, cmpAgg)
+	for _, g := range p.due {
 		if !g.emitted && !g.suspended && !p.isSporadic(g) {
 			p.emitBuf = append(p.emitBuf, p.emit(g, now))
 		} else if g.headLineage != 0 {
@@ -828,12 +977,100 @@ func (p *Preprocessor) Drain(now time.Time) []alert.Alert {
 				p.resolveFiltered(g, provenance.FilterStale)
 			}
 		}
-		shard.unlink(g)
-		g.dead = true
-		shard.deleted++
-	})
-	p.compactKeys()
+		p.remove(g)
+	}
+	// Nothing is live: every queued deadline and pending due mark is
+	// stale.
+	p.dropDeadSurges()
+	for s := range p.shards {
+		shard := &p.shards[s]
+		shard.due = shard.due[:0]
+		shard.exp = shard.exp[:0]
+	}
+	p.refresh = p.refresh[:0]
+	p.raised = p.raised[:0]
 	return p.emitBuf
+}
+
+// deadline is one entry of a deadline queue: aggregate g is looked at
+// again once the tick time reaches at (Unix nanoseconds). Entries are
+// checked lazily when popped; an entry whose g has died or moved on is
+// stale and skipped.
+type deadline struct {
+	at int64
+	g  *aggregate
+}
+
+// deadlineQueue is a binary min-heap of deadlines by at.
+type deadlineQueue []deadline
+
+func (q *deadlineQueue) push(at int64, g *aggregate) {
+	h := append(*q, deadline{at, g})
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent].at <= h[i].at {
+			break
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+	*q = h
+}
+
+func (q *deadlineQueue) pop() deadline {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && h[l].at < h[least].at {
+			least = l
+		}
+		if r < len(h) && h[r].at < h[least].at {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	*q = h
+	return top
+}
+
+// expiryAt is the deadline after which an aggregate last seen at t has
+// expired; refreshAt is when emitted aggregate g may refresh.
+func (p *Preprocessor) expiryAt(t time.Time) int64 {
+	return addSat(wallNanos(t), int64(p.cfg.AggWindow))
+}
+
+func (p *Preprocessor) refreshAt(g *aggregate) int64 {
+	return addSat(wallNanos(g.lastEmit), int64(p.cfg.RefreshInterval))
+}
+
+// wallNanos is t in Unix nanoseconds, clamped to the int64 range.
+// Deadlines computed from it only schedule a look; the exact time.Time
+// test decides.
+func wallNanos(t time.Time) int64 {
+	const limit = math.MaxInt64/int64(time.Second) - 1 // seconds either side of 1970
+	switch sec := t.Unix(); {
+	case sec < -limit:
+		return math.MinInt64
+	case sec > limit:
+		return math.MaxInt64
+	default:
+		return sec*1e9 + int64(t.Nanosecond())
+	}
+}
+
+func addSat(a, b int64) int64 {
+	if b > 0 && a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 // shardIndex routes a location to its owning shard with an FNV-1a hash
@@ -859,31 +1096,6 @@ func shardIndex(p hierarchy.Path, n int) int {
 		h *= prime64
 	}
 	return int(h % uint64(n))
-}
-
-// mergeSortedAggs merges two cmpAgg-sorted, disjoint aggregate lists
-// into one, in place on dst's backing array when capacity allows.
-func mergeSortedAggs(dst, add []*aggregate) []*aggregate {
-	if len(add) == 0 {
-		return dst
-	}
-	if len(dst) == 0 {
-		return append(dst, add...)
-	}
-	n, m := len(dst), len(add)
-	dst = append(dst, add...) // grow; tail will be overwritten by the merge
-	i, j, w := n-1, m-1, n+m-1
-	for j >= 0 {
-		if i >= 0 && cmpAgg(add[j], dst[i]) < 0 {
-			dst[w] = dst[i]
-			i--
-		} else {
-			dst[w] = add[j]
-			j--
-		}
-		w--
-	}
-	return dst
 }
 
 // cmpAgg orders aggregates for deterministic emission: source, type,
